@@ -61,7 +61,6 @@ type sample = {
   s_bytes_per_board : int;  (* retained live heap growth / boards *)
   s_parks : int;
   s_resumes : int;
-  s_thaw_fallbacks : int;
   s_resume_cycles : int;    (* simulated cycles skipped by thaw instead
                                of replayed *)
   s_witness_bytes : int;    (* peak-free running total of frozen bytes *)
@@ -116,7 +115,6 @@ let measure ?(park = false) ?batch ?park_min_quanta ~boards ~domains ~cycles ()
     s_bytes_per_board = bytes_per_board;
     s_parks = c "fleet.sched.board_parks";
     s_resumes = c "fleet.sched.board_resumes";
-    s_thaw_fallbacks = c "fleet.sched.thaw_fallbacks";
     s_resume_cycles = c "fleet.sched.resume_cycles";
     s_witness_bytes = c "fleet.sched.witness_bytes";
   }
@@ -130,10 +128,8 @@ let print_sample s =
     s.s_wall (throughput s) s.s_bytes_per_board;
   if s.s_park then
     Printf.printf
-      "          parks %d  resumes %d  thaw_fallbacks %d  resume_cycles %d  \
-       witness_bytes %d\n%!"
-      s.s_parks s.s_resumes s.s_thaw_fallbacks s.s_resume_cycles
-      s.s_witness_bytes
+      "          parks %d  resumes %d  resume_cycles %d  witness_bytes %d\n%!"
+      s.s_parks s.s_resumes s.s_resume_cycles s.s_witness_bytes
 
 let json_of_sample s =
   Printf.sprintf
@@ -141,10 +137,10 @@ let json_of_sample s =
      \"agg_cycles\": %d, \
      \"syscalls\": %d, \"wall_s\": %.4f, \"cycles_per_s\": %.4e, \
      \"bytes_per_board\": %d, \"parks\": %d, \"resumes\": %d, \
-     \"thaw_fallbacks\": %d, \"resume_cycles\": %d, \"witness_bytes\": %d}"
+     \"resume_cycles\": %d, \"witness_bytes\": %d}"
     s.s_boards s.s_domains s.s_park s.s_budget s.s_cycles s.s_syscalls s.s_wall
     (throughput s) s.s_bytes_per_board s.s_parks s.s_resumes
-    s.s_thaw_fallbacks s.s_resume_cycles s.s_witness_bytes
+    s.s_resume_cycles s.s_witness_bytes
 
 let run () =
   print_endline

@@ -13,7 +13,11 @@ let enter t proc f = Grant.enter t.grant proc f
    grants in that order — rebuilding the mux list — and installs the
    resume alarm each live app's prologue re-arms via command 4. *)
 
-let freeze_save t buf =
+(* Per alarm, in allocation order: the owning pid and, if armed, its
+   (reference, dt) — stale on a disarmed alarm, so elided. *)
+let freeze_codec = Tock_obs.Codec.(list (pair int (option (pair int int))))
+
+let freeze_save t () =
   let procs = Kernel.processes t.kernel in
   let entries = ref [] in
   Alarm_mux.iter_alarms t.mux (fun v ->
@@ -23,51 +27,29 @@ let freeze_save t buf =
           | Some g when g.valarm == v ->
               (* iter visits newest-first; prepending leaves the final
                  list in allocation order. *)
-              entries := (Process.id p, Alarm_mux.is_armed v, v) :: !entries
+              entries :=
+                ( Process.id p,
+                  if Alarm_mux.is_armed v then Some (Alarm_mux.alarm_params v)
+                  else None )
+                :: !entries
           | _ -> ())
         procs);
-  Kernel.Witness.add_int buf (List.length !entries);
-  List.iter
-    (fun (pid, armed, v) ->
-      Kernel.Witness.add_int buf pid;
-      Kernel.Witness.add_int buf (if armed then 1 else 0);
-      if armed then begin
-        (* (reference, dt) is stale on a disarmed alarm: elided. *)
-        let reference, dt = Alarm_mux.alarm_params v in
-        Kernel.Witness.add_int buf reference;
-        Kernel.Witness.add_int buf dt
-      end)
-    !entries
+  !entries
 
-let freeze_load t blob =
-  Kernel.Witness.guard (fun () ->
-      let r = Kernel.Witness.reader blob in
-      let n = Kernel.Witness.int r in
-      if n < 0 || n > 100_000 then
-        Kernel.Witness.corrupt "bad alarm entry count %d" n;
-      let procs = Kernel.processes t.kernel in
-      for _ = 1 to n do
-        let pid = Kernel.Witness.int r in
-        let armed = Kernel.Witness.int r in
-        let resume =
-          if armed = 1 then begin
-            let reference = Kernel.Witness.int r in
-            let dt = Kernel.Witness.int r in
-            Some (reference, dt)
-          end
-          else if armed = 0 then None
-          else Kernel.Witness.corrupt "bad armed flag %d" armed
-        in
+let freeze_load t entries =
+  let procs = Kernel.processes t.kernel in
+  let rec go = function
+    | [] -> Ok ()
+    | (pid, resume) :: rest -> (
         match List.find_opt (fun p -> Process.id p = pid) procs with
-        | None -> Kernel.Witness.corrupt "alarm entry for unknown pid %d" pid
+        | None -> Error (Printf.sprintf "alarm entry for unknown pid %d" pid)
+        | Some p when not (Grant.preallocate t.grant p) ->
+            Error (Printf.sprintf "alarm grant preallocation failed (pid %d)" pid)
         | Some p ->
-            if not (Grant.preallocate t.grant p) then
-              Kernel.Witness.corrupt "alarm grant preallocation failed (pid %d)"
-                pid;
-            Process.set_resume_alarm p resume
-      done;
-      if not (Kernel.Witness.at_end r) then
-        Kernel.Witness.corrupt "trailing bytes in alarm section")
+            Process.set_resume_alarm p resume;
+            go rest)
+  in
+  go entries
 
 let create kernel mux ~grant_cap =
   let t =
@@ -82,9 +64,8 @@ let create kernel mux ~grant_cap =
   Kernel.register_grant kernel ~name:"alarm"
     ~preallocate:(fun p -> Grant.preallocate t.grant p)
     ~is_allocated:(fun p -> Grant.is_allocated t.grant p);
-  Kernel.register_freezer kernel ~name:"alarm" ~phase:`Pre
-    ~save:(fun buf -> freeze_save t buf)
-    ~load:(fun blob -> freeze_load t blob);
+  Kernel.register_freezer kernel ~name:"alarm" ~phase:`Pre freeze_codec
+    ~save:(freeze_save t) ~load:(freeze_load t);
   t
 
 (* Arm [g]'s virtual alarm at absolute (reference, dt) and register the

@@ -138,48 +138,17 @@ val register_freezer :
   t ->
   name:string ->
   phase:[ `Pre | `Post ] ->
-  save:(Buffer.t -> unit) ->
-  load:(string -> (unit, string) result) ->
+  'a Tock_obs.Codec.t ->
+  save:(unit -> 'a) ->
+  load:('a -> (unit, string) result) ->
   unit
 (** Declare a named board-state component beyond the kernel's own reach
-    (virtual-alarm order and arming, uart capture, dirty flash pages).
-    {!freeze} appends every registered component's [save] bytes;
-    {!thaw} feeds them back — [`Pre] loads run before the resume
-    prologues, [`Post] loads after the wholesale state patch. A [load]
-    returning [Error] aborts the thaw (the caller falls back to
-    replay). *)
-
-(** Length-prefixed binary codec for {!register_freezer} sections (the
-    same one the witness itself uses): 64-bit LE ints, length-prefixed
-    strings, and a bounds-checked reader whose failures surface as
-    [Error] via {!Witness.guard} rather than exceptions. *)
-module Witness : sig
-  exception Corrupt of string
-
-  val corrupt : ('a, unit, string, 'b) format4 -> 'a
-  (** Raise {!Corrupt} with a formatted diagnostic. *)
-
-  val add_int : Buffer.t -> int -> unit
-
-  val add_string : Buffer.t -> string -> unit
-
-  type reader
-
-  val reader : string -> reader
-
-  val int : reader -> int
-
-  val int64 : reader -> int64
-
-  val raw : reader -> int -> string
-
-  val string : reader -> string
-
-  val at_end : reader -> bool
-
-  val guard : (unit -> 'a) -> ('a, string) result
-  (** Run a decoder, catching {!Corrupt}. *)
-end
+    (virtual-alarm order and arming, uart capture, dirty flash pages),
+    with the codec its section is written in. {!freeze} encodes every
+    registered component's [save ()]; {!thaw} decodes each section and
+    feeds it to [load] — [`Pre] loads run before the resume prologues,
+    [`Post] loads after the wholesale state patch. A section that fails
+    to decode, or a [load] returning [Error], fails the thaw. *)
 
 (** {2 Processes (privileged)} *)
 
@@ -331,15 +300,17 @@ val run_to_completion : t -> cap:Capability.main_loop -> ?max_cycles:int -> unit
       the frozen shape), then patch everything else back from the
       witness bytes. O(state) — independent of how long the board ran.
 
-    Witness format (v2, magic "TCKSNP02", all ints 64-bit LE): header
-    clock/active/sleep + raw root-PRNG state; sorted live event-queue
-    {e deadlines} (sequence numbers are allocation order and never
-    survive a rebuild); [next_pid]/[ram_next]; per-process records
-    (name, state, pending resume, counters, checkpoint, emulator
-    residue, per-class syscall counts, allocated grant names, sorted
-    subscriptions/allows, queued upcalls, sparse zero-elided RAM runs);
-    named {!register_freezer} component sections; packed kernel +
-    hardware metrics registries. *)
+    The byte format is {!Witness}'s (v3, magic ["TCKSNP03"]): a
+    checksummed frame — magic, payload length, payload, MD5 of the
+    payload — around the header clock/active/sleep and raw root-PRNG
+    state; sorted live event-queue {e deadlines}; [next_pid]/[ram_next];
+    per-process records (name, state, pending resume, counters,
+    checkpoint, emulator residue, per-class syscall counts, allocated
+    grant names, sorted subscriptions/allows, queued upcalls, sparse
+    zero-elided RAM runs); named {!register_freezer} sections; packed
+    kernel + hardware metrics registries. The digest is checked before
+    any field is read, so a flipped or truncated witness is rejected
+    as a whole. *)
 
 val freeze : ?buf:Buffer.t -> t -> string
 (** Serialize the board's observable state (format above).
@@ -349,13 +320,6 @@ val freeze : ?buf:Buffer.t -> t -> string
     given, is cleared and used as the scratch encoder (the fleet pools
     one per domain to avoid re-growing a fresh buffer per park). *)
 
-val snapshot : t -> string
-(** [freeze] without a pooled buffer (historical name). *)
-
-val snapshot_clock : string -> (int, string) result
-(** The sim clock a witness was taken at; [Error] if the string does
-    not start with a witness header. *)
-
 val replay_to : t -> cap:Capability.main_loop -> int -> unit
 (** Drive the board to an absolute clock with [run_to_deadline] +
     [sleep_to] (stops early only on [`Stalled]). By the chopping
@@ -363,8 +327,8 @@ val replay_to : t -> cap:Capability.main_loop -> int -> unit
     other valid stepping that reaches the same clock. *)
 
 val restore : t -> cap:Capability.main_loop -> string -> (unit, string) result
-(** [restore t ~cap w] replays a freshly-built board [t] to
-    [snapshot_clock w] and verifies [snapshot t = w]. [Error] on a
+(** [restore t ~cap w] replays a freshly-built board [t] to the clock
+    [w] was taken at and verifies [freeze t = w]. [Error] on a
     corrupt or truncated witness (with a decoder diagnostic, before any
     replay work), or on divergence (snapshot digests) — the latter
     means the board was not rebuilt from the same recipe, or
@@ -382,8 +346,15 @@ val thaw : t -> cap:Capability.main_loop -> string -> (unit, string) result
     loads, verify the rebuilt event schedule against the witness, and
     overwrite both metrics registries. On success, [freeze t = w].
     [Error] — with the board left in an unspecified half-patched state
-    that must be discarded — whenever anything fails to line up: a
-    corrupt witness, a live process that never checkpointed
-    (non-resumable app) or frozen in a non-[Yielded] suspension, an
-    upcall id that cannot be remapped, registry series drift. Callers
-    fall back to {!restore} on a fresh board. *)
+    that must be discarded — for a corrupt witness, a board frozen in a
+    disposition {!thawable} rejects, or anything else that fails to
+    line up (an upcall id that cannot be remapped, registry series
+    drift). *)
+
+val thawable : t -> bool
+(** Whether {!thaw} will accept a witness of the board as it stands:
+    every live process is checkpointed, sits at its checkpoint sleep
+    and is [Yielded], and no process is [Stopped] or [Unstarted]. This
+    is the disposition check [thaw] itself runs on the witness, so a
+    caller that freezes only thawable boards never needs {!restore} to
+    resume them. *)

@@ -44,10 +44,10 @@ type config = {
   batch : int;       (* calendar dispatch quantum in simulated cycles *)
   seed : int64;
   park : bool;
-      (* serialize long-sleeping single boards to byte witnesses,
-         freeing their live-window slot; resumed by direct thaw (or
-         deterministic replay when thaw declines). Changes memory/
-         wall-time shape only, never results. *)
+      (* serialize long-sleeping single boards that thaw will accept
+         to byte witnesses, freeing their live-window slot; resumed by
+         direct thaw. Changes memory/wall-time shape only, never
+         results. *)
   park_min_quanta : int;
       (* park only when the board sleeps through at least this many
          dispatch quanta: below that the deferred-sleep park (gr_wake)
@@ -65,8 +65,8 @@ type config = {
          byte-identical at any domain count. *)
   trace_capacity : int;
       (* > 0: give each scheduler domain a Trace ring of this many
-         events (dispatch quanta, steals, parks, resumes, thaw
-         fallbacks, fast-forwards) and export the merged multi-lane
+         events (dispatch quanta, steals, parks, resumes,
+         fast-forwards) and export the merged multi-lane
          Chrome JSON as fr_trace_json. *)
   trace_boards : int;
       (* sample the first N boards with full per-board rings of
@@ -75,7 +75,7 @@ type config = {
          the ring); like park, sampling never changes results. *)
   flight_dir : string option;
       (* arm the fault flight recorder: any process fault, kernel
-         panic, or end-of-run SLO breach captures a TCKFLT01 artifact
+         panic, or end-of-run SLO breach captures a TCKFLT02 artifact
          (cause + last trace events + packed metrics + freeze witness)
          into this directory. Single boards get a small always-on ring
          so the artifact has a timeline even when tracing is off. *)
@@ -388,14 +388,13 @@ let group_stats rt =
    graph). Resume rebuilds the board from the same deterministic recipe
    and *thaws* it — [Kernel.thaw] materializes the frozen state
    directly, O(state) instead of O(elapsed cycles), which is what keeps
-   resume cost flat as fleets run longer. When thaw declines (a
-   non-resumable app was live at park, or any consistency check fails)
-   the fleet falls back to the replay path on a second fresh board:
-   [Kernel.restore] re-runs history and byte-verifies against the
-   witness, so park/resume can never silently diverge from the
-   keep-it-live path. [verify_park] runs both on every resume and
-   compares them. Only [Single] groups park — radio groups share a Sim
-   across boards and stay live. *)
+   resume cost flat as fleets run longer. Only boards [Kernel.thawable]
+   accepts are parked (one mid-I/O, or running a non-resumable app,
+   stays live), so a thaw [Error] is a bug and fails the run.
+   [verify_park] cross-checks every resume against the witness bytes
+   and an independent byte-verified replay ([Kernel.restore]). Only
+   [Single] groups park — radio groups share a Sim across boards and
+   stay live. *)
 
 type parked = {
   pk_g : int;         (* calendar group id, for rematerialization *)
@@ -407,62 +406,37 @@ type parked = {
 (* A calendar slot: a live group runtime, or a board parked to bytes. *)
 type slot = Live of group_rt | Parked of parked
 
-let replay_resume cfg workloads pk =
-  let rt = materialize cfg workloads ~g:pk.pk_g in
-  (match rt.gr_kind with
-  | Single b -> (
-      match
-        Tock.Kernel.restore b.Tock_boards.Board.kernel
-          ~cap:b.Tock_boards.Board.main_cap pk.pk_witness
-      with
-      | Ok () -> ()
-      | Error e -> failwith ("Fleet: resume of board " ^ string_of_int pk.pk_g ^ ": " ^ e))
-  | Radio _ -> assert false);
-  rt
-
-let resume_parked cfg workloads ~on_thaw_fallback pk =
-  let rt = materialize cfg workloads ~g:pk.pk_g in
-  let thawed =
-    match rt.gr_kind with
-    | Single b -> (
-        match
-          Tock.Kernel.thaw b.Tock_boards.Board.kernel
-            ~cap:b.Tock_boards.Board.main_cap pk.pk_witness
-        with
-        | Ok () -> true
-        | Error e ->
-            on_thaw_fallback e;
-            false)
-    | Radio _ -> assert false
+let resume_parked cfg workloads pk =
+  let board () =
+    match materialize cfg workloads ~g:pk.pk_g with
+    | { gr_kind = Single b; _ } as rt -> (rt, b)
+    | { gr_kind = Radio _; _ } -> assert false
   in
-  let rt =
-    if thawed then begin
-      if cfg.verify_park then begin
-        (* Re-freezing the thawed board must reproduce the witness
-           bytes, and an independent replay (which byte-verifies
-           itself inside Kernel.restore) must succeed too. *)
-        let refrozen =
-          match rt.gr_kind with
-          | Single b -> Tock.Kernel.freeze b.Tock_boards.Board.kernel
-          | Radio _ -> assert false
-        in
-        if not (String.equal refrozen pk.pk_witness) then
-          failwith
-            (Printf.sprintf
-               "Fleet: verify_park: board %d thaw diverged from its witness \
-                (%s vs %s)"
-               pk.pk_g
-               (Digest.to_hex (Digest.string refrozen))
-               (Digest.to_hex (Digest.string pk.pk_witness)));
-        ignore (replay_resume cfg workloads pk)
-      end;
-      rt
-    end
-    else
-      (* The failed thaw may have half-patched the board: discard it
-         and replay on a fresh one. *)
-      replay_resume cfg workloads pk
+  let or_fail = function
+    | Ok () -> ()
+    | Error e -> failwith (Printf.sprintf "Fleet: resume of board %d: %s" pk.pk_g e)
   in
+  let rt, b = board () in
+  let k = b.Tock_boards.Board.kernel in
+  or_fail (Tock.Kernel.thaw k ~cap:b.Tock_boards.Board.main_cap pk.pk_witness);
+  if cfg.verify_park then begin
+    (* Re-freezing the thawed board must reproduce the witness bytes,
+       and an independent replay (which byte-verifies itself inside
+       Kernel.restore) must succeed too. *)
+    let refrozen = Tock.Kernel.freeze k in
+    if not (String.equal refrozen pk.pk_witness) then
+      failwith
+        (Printf.sprintf
+           "Fleet: verify_park: board %d thaw diverged from its witness (%s \
+            vs %s)"
+           pk.pk_g
+           (Digest.to_hex (Digest.string refrozen))
+           (Digest.to_hex (Digest.string pk.pk_witness)));
+    let _, rb = board () in
+    or_fail
+      (Tock.Kernel.restore rb.Tock_boards.Board.kernel
+         ~cap:rb.Tock_boards.Board.main_cap pk.pk_witness)
+  end;
   rt.gr_wake <- pk.pk_wake;
   rt
 
@@ -508,7 +482,6 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   let c_parked = Tock_obs.Metrics.counter reg "fleet.sched.parked_wakes" in
   let c_board_parks = Tock_obs.Metrics.counter reg "fleet.sched.board_parks" in
   let c_board_resumes = Tock_obs.Metrics.counter reg "fleet.sched.board_resumes" in
-  let c_thaw_fallbacks = Tock_obs.Metrics.counter reg "fleet.sched.thaw_fallbacks" in
   let c_resume_cycles = Tock_obs.Metrics.counter reg "fleet.sched.resume_cycles" in
   let c_witness_bytes = Tock_obs.Metrics.counter reg "fleet.sched.witness_bytes" in
   let c_groups = Tock_obs.Metrics.counter reg "fleet.sched.groups_run" in
@@ -527,7 +500,7 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   let dvt = ref 0 in
   let board_lanes = ref [] in
   let flights = ref [] in
-  (* Capture a TCKFLT01 artifact for a group whose kernel faulted or
+  (* Capture a TCKFLT02 artifact for a group whose kernel faulted or
      panicked this quantum: cause, trace tail, packed metrics, and (for
      single boards) a freeze witness. Freeze can refuse mid-flight
      state after a panic; the artifact then ships without a witness
@@ -646,9 +619,8 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
           match slot with
           | Live rt -> rt
           | Parked pk ->
-              (* Rebuild + thaw (replay fallback), then rejoin the live
-                 window (transiently allowed to exceed the refill
-                 bound). *)
+              (* Rebuild + thaw, then rejoin the live window
+                 (transiently allowed to exceed the refill bound). *)
               Tock_obs.Metrics.incr c_board_resumes;
               Tock_obs.Metrics.add c_resume_cycles (pk.pk_wake - pk.pk_clock);
               Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1) Tock_obs.Trace.Resume
@@ -658,12 +630,6 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
               incr live;
               Tock_obs.Metrics.set_max g_live_peak !live;
               resume_parked cfg workloads pk
-                ~on_thaw_fallback:(fun _e ->
-                  Tock_obs.Metrics.incr c_thaw_fallbacks;
-                  Tock_obs.Trace.emit dtr ~ts:!dvt ~tid:(-1)
-                    Tock_obs.Trace.Resume Tock_obs.Trace.Instant
-                    ~arg:(pk.pk_g * cfg.group_size)
-                    ~text:"thaw-fallback")
         in
         if rt.gr_wake >= 0 then begin
           (* Parked: take the skipped sleep now, in one hop. *)
@@ -711,7 +677,7 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
                 when cfg.park
                      && (not (sampled cfg rt.gr_lo))
                      && wake - group_now rt >= cfg.park_min_quanta * cfg.batch
-                ->
+                     && Tock.Kernel.thawable b.Tock_boards.Board.kernel ->
                   (* Long sleep ahead: trade the live slot for a byte
                      witness and let refill pull fresh work. *)
                   let pk =

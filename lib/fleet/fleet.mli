@@ -34,11 +34,11 @@ type config = {
       (** serialize single boards that sleep through several quanta into
           compact byte witnesses ({!Tock.Kernel.freeze}), freeing their
           live-window slot; they are resumed by rebuilding and thawing
-          directly — O(state), not O(elapsed) — falling back to
-          byte-verified replay ({!Tock.Kernel.restore}) when
-          {!Tock.Kernel.thaw} declines. Changes the memory/wall-time
-          shape only — results are byte-identical with parking on or
-          off. *)
+          directly ({!Tock.Kernel.thaw}) — O(state), not O(elapsed).
+          Only boards {!Tock.Kernel.thawable} accepts are parked; the
+          rest stay live, and a thaw [Error] fails the run. Changes the
+          memory/wall-time shape only — results are byte-identical with
+          parking on or off. *)
   park_min_quanta : int;
       (** park only boards sleeping through at least this many [batch]
           quanta; shorter gaps are already skipped in O(1) by the
@@ -46,7 +46,8 @@ type config = {
   verify_park : bool;
       (** cross-check every resume: re-freeze the thawed board and
           compare byte-for-byte against the stored witness, then
-          independently replay a second board (self-verifying). Fatal
+          independently replay a second board
+          ({!Tock.Kernel.restore}, self-verifying). Fatal
           [Failure] on divergence. Debug/test mode — expensive. *)
   health : bool;
       (** fold every retiring board's packed metrics into per-cohort
@@ -55,8 +56,8 @@ type config = {
           byte-identical at any domain count, batch, or park setting. *)
   trace_capacity : int;
       (** [> 0]: give each scheduler domain a trace ring of this many
-          events (dispatch quanta, steals, parks, resumes, thaw
-          fallbacks, fast-forward warps) and export the merged
+          events (dispatch quanta, steals, parks, resumes,
+          fast-forward warps) and export the merged
           multi-lane Chrome/Perfetto JSON as [fr_trace_json]. Domain
           lanes use pid = domain index and a virtual time axis (cycles
           dispatched so far). *)
@@ -68,7 +69,7 @@ type config = {
           would drop the ring — but sampling never changes results. *)
   flight_dir : string option;
       (** arm the fault flight recorder: every process fault or kernel
-          panic captures a [TCKFLT01] artifact ({!Flight}) — cause,
+          panic captures a [TCKFLT02] artifact ({!Flight}) — cause,
           trace tail, packed metrics, freeze witness — and a Degraded/
           Unhealthy end-of-run verdict (with [health]) adds one
           fleet-level SLO-breach artifact. Files are written into this
@@ -128,8 +129,8 @@ type fleet_result = {
           count, batch quantum, and park setting *)
   fr_sched : Tock_obs.Metrics.snapshot;
       (** merged scheduler metrics ([fleet.sched.*]: dispatches, steals,
-          parked wakes, fast-forwards, board parks/resumes, thaw
-          fallbacks, resume cycles skipped, witness bytes, groups run,
+          parked wakes, fast-forwards, board parks/resumes, resume
+          cycles skipped, witness bytes, groups run,
           live-group peak, batch-cycle histogram). These {e do} depend
           on domain count, batch, and park — they describe the
           execution, not the simulation. *)
@@ -141,7 +142,7 @@ type fleet_result = {
       (** with [config.trace_capacity > 0]: the merged multi-lane
           Chrome/Perfetto trace (domain lanes + sampled board lanes). *)
   fr_flights : (string * Flight.artifact) list;
-      (** with [config.flight_dir]: the [TCKFLT01] artifacts captured
+      (** with [config.flight_dir]: the [TCKFLT02] artifacts captured
           this run, as [(written_path, artifact)], in board order
           (fleet-level SLO-breach artifact last). *)
 }

@@ -1,4 +1,4 @@
-(* Fault flight recorder artifacts ("TCKFLT01").
+(* Fault flight recorder artifacts ("TCKFLT02").
 
    When a fleet board faults a process, panics its kernel, or the run
    ends in SLO breach, the runner captures everything a postmortem
@@ -7,18 +7,18 @@
    (for board-level causes) a [Kernel.freeze] witness that can be
    thawed back into a live board for inspection.
 
-   The encoding reuses the witness codec (int64-LE ints,
-   length-prefixed strings) and is total on decode: truncated or
-   bit-flipped artifacts yield [Error], never an exception — the same
-   contract as TCKSNP02. Trace kinds and phases are stored as strings,
-   not variant tags, so an artifact written by one build renders under
-   another even if the kind enum grew in between. *)
+   The encoding is a checksummed {!Tock_obs.Codec.frame}, like the
+   TCKSNP03 board witness, and decoding is total: truncated or
+   bit-flipped artifacts yield [Error], never an exception. Trace kinds
+   and phases are stored as strings, not variant tags, so an artifact
+   written by one build renders under another even if the kind enum
+   grew in between. *)
 
-module W = Tock.Kernel.Witness
+module Codec = Tock_obs.Codec
 module Metrics = Tock_obs.Metrics
 module Trace = Tock_obs.Trace
 
-let magic = "TCKFLT01"
+let magic = "TCKFLT02"
 
 type cause =
   | Fault of { fl_proc : string; fl_reason : string }
@@ -81,92 +81,43 @@ let events_of_trace ?(max = 256) tr =
   in
   List.rev (take max !newest_first)
 
-let encode a =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  (match a.fa_cause with
-  | Fault { fl_proc; fl_reason } ->
-      W.add_int buf 0;
-      W.add_string buf fl_proc;
-      W.add_string buf fl_reason
-  | Panic m ->
-      W.add_int buf 1;
-      W.add_string buf m
-  | Slo_breach m ->
-      W.add_int buf 2;
-      W.add_string buf m);
-  W.add_int buf a.fa_board;
-  W.add_string buf (Int64.to_string a.fa_seed);
-  W.add_int buf a.fa_clock;
-  W.add_int buf a.fa_clock_hz;
-  W.add_int buf (List.length a.fa_events);
-  List.iter
-    (fun e ->
-      W.add_int buf e.fe_ts;
-      W.add_int buf e.fe_tid;
-      W.add_string buf e.fe_kind;
-      W.add_string buf e.fe_phase;
-      W.add_int buf e.fe_dur;
-      W.add_int buf e.fe_arg;
-      W.add_string buf e.fe_text)
-    a.fa_events;
-  W.add_string buf
-    (match a.fa_metrics with
-    | None -> ""
-    | Some p -> Metrics.packed_to_string p);
-  W.add_string buf a.fa_witness;
-  Buffer.contents buf
+let cause =
+  Codec.(variant "flight cause"
+           [ case (pair string string)
+               (function Fault { fl_proc; fl_reason } -> Some (fl_proc, fl_reason) | _ -> None)
+               (fun (fl_proc, fl_reason) -> Fault { fl_proc; fl_reason });
+             case string (function Panic m -> Some m | _ -> None) (fun m -> Panic m);
+             case string (function Slo_breach m -> Some m | _ -> None) (fun m -> Slo_breach m) ])
 
-let decode s =
-  W.guard (fun () ->
-      let r = W.reader s in
-      let m = W.raw r (String.length magic) in
-      if m <> magic then W.corrupt "flight: bad magic %S" m;
-      let fa_cause =
-        match W.int r with
-        | 0 ->
-            let fl_proc = W.string r in
-            let fl_reason = W.string r in
-            Fault { fl_proc; fl_reason }
-        | 1 -> Panic (W.string r)
-        | 2 -> Slo_breach (W.string r)
-        | n -> W.corrupt "flight: unknown cause tag %d" n
-      in
-      let fa_board = W.int r in
-      let fa_seed =
-        let s = W.string r in
-        match Int64.of_string_opt s with
-        | Some v -> v
-        | None -> W.corrupt "flight: bad seed %S" s
-      in
-      let fa_clock = W.int r in
-      let fa_clock_hz = W.int r in
-      if fa_clock_hz <= 0 then W.corrupt "flight: clock_hz %d" fa_clock_hz;
-      let n = W.int r in
-      if n < 0 || n > 1_000_000 then W.corrupt "flight: event count %d" n;
-      let fa_events =
-        List.init n (fun _ ->
-            let fe_ts = W.int r in
-            let fe_tid = W.int r in
-            let fe_kind = W.string r in
-            let fe_phase = W.string r in
-            let fe_dur = W.int r in
-            let fe_arg = W.int r in
-            let fe_text = W.string r in
-            { fe_ts; fe_tid; fe_kind; fe_phase; fe_dur; fe_arg; fe_text })
-      in
-      let fa_metrics =
-        match W.string r with
-        | "" -> None
-        | ms -> (
-            match Metrics.packed_of_string ms with
-            | Ok p -> Some p
-            | Error e -> W.corrupt "flight: metrics: %s" e)
-      in
-      let fa_witness = W.string r in
-      if not (W.at_end r) then W.corrupt "flight: trailing bytes";
-      { fa_cause; fa_board; fa_seed; fa_clock; fa_clock_hz; fa_events;
-        fa_metrics; fa_witness })
+let event =
+  Codec.(record
+           (let+ fe_ts = field (fun e -> e.fe_ts) int
+            and+ fe_tid = field (fun e -> e.fe_tid) int
+            and+ fe_kind = field (fun e -> e.fe_kind) string
+            and+ fe_phase = field (fun e -> e.fe_phase) string
+            and+ fe_dur = field (fun e -> e.fe_dur) int
+            and+ fe_arg = field (fun e -> e.fe_arg) int
+            and+ fe_text = field (fun e -> e.fe_text) string in
+            { fe_ts; fe_tid; fe_kind; fe_phase; fe_dur; fe_arg; fe_text }))
+
+let codec =
+  let clock_hz = Codec.(conv Fun.id (fun hz -> if hz <= 0 then fail "clock_hz %d" hz else hz) int) in
+  Codec.(frame ~magic
+           (record
+              (let+ fa_cause = field (fun a -> a.fa_cause) cause
+               and+ fa_board = field (fun a -> a.fa_board) int
+               and+ fa_seed = field (fun a -> a.fa_seed) int64
+               and+ fa_clock = field (fun a -> a.fa_clock) int
+               and+ fa_clock_hz = field (fun a -> a.fa_clock_hz) clock_hz
+               and+ fa_events = field (fun a -> a.fa_events) (list event)
+               and+ fa_metrics = field (fun a -> a.fa_metrics) (option (sized Metrics.packed_codec))
+               and+ fa_witness = field (fun a -> a.fa_witness) string in
+               { fa_cause; fa_board; fa_seed; fa_clock; fa_clock_hz; fa_events;
+                 fa_metrics; fa_witness })))
+
+let encode a = Codec.encode codec a
+
+let decode s = Codec.decode codec s
 
 let describe_cause = function
   | Fault { fl_proc; fl_reason } ->

@@ -1,4 +1,4 @@
-(** Fault flight recorder artifacts ([TCKFLT01]).
+(** Fault flight recorder artifacts ([TCKFLT02]).
 
     A self-contained postmortem dump captured when a fleet board faults
     a process, panics its kernel, or the run ends in SLO breach: the
@@ -6,12 +6,15 @@
     packed metrics snapshot, and (for board-level causes) a
     [Kernel.freeze] witness thawable back into a live board.
 
-    Decoding is total: truncated or corrupt artifacts yield [Error],
-    never an exception — the same hardening contract as the TCKSNP02
-    board witness. *)
+    The format is a checksummed {!Tock_obs.Codec.frame} (magic, payload
+    length, payload, MD5 of the payload) around the {!artifact} fields
+    in declaration order; the metrics nest as a length-prefixed
+    {!Tock_obs.Metrics.packed_codec} image, the witness as its own
+    framed bytes. Decoding is total: a truncated or corrupt artifact
+    yields [Error], never an exception. *)
 
 val magic : string
-(** ["TCKFLT01"]. *)
+(** ["TCKFLT02"]. *)
 
 type cause =
   | Fault of { fl_proc : string; fl_reason : string }

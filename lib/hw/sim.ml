@@ -18,6 +18,10 @@ type t = {
   tr : Tock_obs.Trace.t;
   reg : Tock_obs.Metrics.t;
   mutable obs_ctx : Tock_obs.Ctx.t;
+  mutable held_at : int;
+      (* [with_clock_held]: the instant the clock is pinned to, or -1.
+         While held, [next_due] is [min_int], so every [spend] probes
+         [fire_due], which rewinds the clock instead of firing. *)
   mutable next_due : int;
       (* Cached lower bound on the earliest event deadline ([max_int] =
          none known). [spend] only probes the queue once [now] crosses
@@ -45,6 +49,7 @@ let create ?(seed = 0x70CC_2025L) ?(clock_hz = 16_000_000)
       tr = Tock_obs.Trace.create ~capacity:trace_capacity;
       reg;
       obs_ctx = Tock_obs.Ctx.disabled;
+      held_at = -1;
       next_due = max_int;
     }
   in
@@ -84,9 +89,15 @@ let settle_meter t m =
    [Event_queue.run_due] keeps draining until the head is in the
    future, so the final probe is exact. *)
 let fire_due t =
-  let fired = Event_queue.run_due t.events ~now:t.now in
-  t.next_due <- Event_queue.next_deadline t.events;
-  fired > 0
+  if t.held_at >= 0 then begin
+    t.now <- t.held_at;
+    false
+  end
+  else begin
+    let fired = Event_queue.run_due t.events ~now:t.now in
+    t.next_due <- Event_queue.next_deadline t.events;
+    fired > 0
+  end
 
 let run_due_events t = if t.now < t.next_due then false else fire_due t
 
@@ -161,6 +172,14 @@ let warp t ~now ~active_cycles ~sleep_cycles ~rng_state =
   t.sleep_cycles <- sleep_cycles;
   Tock_crypto.Prng.set_state t.root_rng rng_state;
   t.next_due <- Event_queue.next_deadline t.events
+
+let with_clock_held t f =
+  t.held_at <- t.now;
+  t.next_due <- min_int;
+  Fun.protect f ~finally:(fun () ->
+      t.now <- t.held_at;
+      t.held_at <- -1;
+      t.next_due <- Event_queue.next_deadline t.events)
 
 let rng_state t = Tock_crypto.Prng.state t.root_rng
 

@@ -84,6 +84,13 @@ val warp :
     Used by {!Tock.Kernel.thaw} to land a rehydrated board on its frozen
     clock; pending events keep their absolute deadlines. *)
 
+val with_clock_held : t -> (unit -> 'a) -> 'a
+(** Run [f] with the clock pinned at {!now}: cycles spent inside [f]
+    are counted as activity but do not move the clock, and no event
+    fires. Used by {!Tock.Kernel.thaw} so its resume prologues run at
+    the frozen instant — they can neither arm a timer against a later
+    clock nor fire an event the frozen board had not reached. *)
+
 val rng_state : t -> int64
 (** Raw root-PRNG state, for the board-state witness. *)
 

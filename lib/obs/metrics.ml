@@ -360,7 +360,7 @@ let pack snap =
    in-range bucket indices. [packed_of]/[pack] construct images that
    pass by construction; images rebuilt from bytes (board witnesses,
    flight-recorder artifacts) may be truncated or bit-flipped, and the
-   contract mirrors the TCKSNP02 witness hardening: [Error] with a
+   contract mirrors the board-witness hardening: [Error] with a
    diagnostic, never an exception. *)
 let validate_packed p =
   let err fmt = Printf.ksprintf (fun m -> Error ("packed: " ^ m)) fmt in
@@ -453,99 +453,28 @@ let unpack p =
       in
       Ok (go (n - 1) [])
 
-let packed_to_string p =
-  let b = Buffer.create 1024 in
-  let int63 v = Buffer.add_int64_le b (Int64.of_int v) in
-  let sc = p.p_schema in
-  let n = Array.length sc.sc_names in
-  int63 n;
-  for rank = 0 to n - 1 do
-    int63 (String.length sc.sc_names.(rank));
-    Buffer.add_string b sc.sc_names.(rank);
-    Buffer.add_char b sc.sc_kinds.[rank]
-  done;
-  (* The blob already is the canonical int64-LE value image. *)
-  Buffer.add_string b p.p_blob;
-  Buffer.contents b
+(* The wire form: the schema as a counted list of (name, kind) entries,
+   then the blob, which already is the canonical int64-LE value image.
+   Decoding validates the rebuilt image, so external bytes that decode
+   are safe for every unchecked reader. *)
+let packed_codec =
+  Codec.(conv
+           (fun p ->
+             let sc = p.p_schema in
+             (Array.mapi (fun rank nm -> (nm, sc.sc_kinds.[rank])) sc.sc_names, p.p_blob))
+           (fun (entries, blob) ->
+             let p =
+               { p_schema =
+                   { sc_names = Array.map fst entries;
+                     sc_kinds = String.init (Array.length entries) (fun i -> snd entries.(i)) };
+                 p_blob = blob }
+             in
+             match validate_packed p with Ok () -> p | Error e -> fail "%s" e)
+           (pair (array (pair string char)) rest))
 
-(* Decode a [packed_to_string] image. Every read is bounds-checked: the
-   input may come from a truncated or corrupted board witness, and the
-   contract there is [Error], never an exception. *)
-let packed_of_string s =
-  let len = String.length s in
-  let err fmt = Printf.ksprintf (fun m -> Error ("packed: " ^ m)) fmt in
-  let word pos =
-    if pos < 0 || pos + 8 > len then None
-    else Some (Int64.to_int (String.get_int64_le s pos))
-  in
-  match word 0 with
-  | None -> err "truncated header (%d bytes)" len
-  | Some n when n < 0 || n > len -> err "absurd series count %d" n
-  | Some n -> (
-      let sc_names = Array.make (max n 1) "" in
-      let kinds = Bytes.make (max n 1) 'c' in
-      let pos = ref 8 in
-      let bad = ref None in
-      (try
-         for rank = 0 to n - 1 do
-           match word !pos with
-           | None -> raise Exit
-           | Some nl ->
-               if nl < 0 || !pos + 8 + nl + 1 > len then raise Exit;
-               sc_names.(rank) <- String.sub s (!pos + 8) nl;
-               let k = s.[!pos + 8 + nl] in
-               if k <> 'c' && k <> 'g' && k <> 'h' then begin
-                 bad := Some (err "series %s: unknown kind %C" sc_names.(rank) k);
-                 raise Exit
-               end;
-               Bytes.set kinds rank k;
-               pos := !pos + 8 + nl + 1
-         done
-       with Exit -> if !bad = None then bad := Some (err "truncated schema"));
-      match !bad with
-      | Some e -> e
-      | None ->
-          let blob = String.sub s !pos (len - !pos) in
-          let words = String.length blob / 8 in
-          if String.length blob mod 8 <> 0 || words < n then
-            err "blob is %d bytes for %d series" (String.length blob) n
-          else begin
-            (* Validate histogram records before accepting the image. *)
-            let bw i = Int64.to_int (String.get_int64_le blob (8 * i)) in
-            let hist_ok = ref (Ok ()) in
-            for rank = 0 to n - 1 do
-              if Bytes.get kinds rank = 'h' && !hist_ok = Ok () then begin
-                let off = bw rank in
-                if off < n || off + 3 > words then
-                  hist_ok := err "series %s: histogram offset %d out of range"
-                      sc_names.(rank) off
-                else
-                  let np = bw (off + 2) in
-                  if np < 0 || np > buckets || off + 3 + (2 * np) > words then
-                    hist_ok := err "series %s: %d histogram pairs out of range"
-                        sc_names.(rank) np
-                  else
-                    for k = 0 to np - 1 do
-                      let b = bw (off + 3 + (2 * k)) in
-                      if (b < 0 || b >= buckets) && !hist_ok = Ok () then
-                        hist_ok := err "series %s: bucket %d out of range"
-                            sc_names.(rank) b
-                    done
-              end
-            done;
-            match !hist_ok with
-            | Error _ as e -> e
-            | Ok () ->
-                Ok
-                  {
-                    p_schema =
-                      {
-                        sc_names = Array.sub sc_names 0 n;
-                        sc_kinds = Bytes.sub_string kinds 0 n;
-                      };
-                    p_blob = blob;
-                  }
-          end)
+let packed_to_string p = Codec.encode packed_codec p
+
+let packed_of_string s = Codec.decode packed_codec s
 
 (* Overwrite a registry's values from a packed image: the thaw path of
    board freeze/thaw. Series missing from the registry are created

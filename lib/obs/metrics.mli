@@ -151,14 +151,19 @@ val iter_packed :
     holding images from external bytes run {!validate_packed} first —
     {!packed_of_string} already has. *)
 
+val packed_codec : packed Codec.t
+(** The binary form: series count, then per series a length-prefixed
+    name and its kind byte, then the blob. Decoding runs
+    {!validate_packed}: truncated or corrupted input yields [Error],
+    never an exception. Unframed — board witnesses and flight
+    artifacts nest it inside their own checksummed frame. *)
+
 val packed_to_string : packed -> string
-(** Compact deterministic binary encoding (for digests / park
-    buffers). *)
+(** [Codec.encode packed_codec]: compact and deterministic (for digests
+    and stats keys). *)
 
 val packed_of_string : string -> (packed, string) result
-(** Decode a {!packed_to_string} image. Total: truncated or corrupted
-    input (bad kinds, histogram offsets or buckets out of range) yields
-    [Error] with a diagnostic, never an exception. *)
+(** [Codec.decode packed_codec]. *)
 
 val restore_packed : t -> packed -> (unit, string) result
 (** Overwrite the registry's values from a packed image — the thaw side

@@ -126,13 +126,13 @@ let test_snapshot_restore_determinism () =
   let park_at = 700_000 and budget = 2_000_000 in
   let original = build_sleepy () in
   finish_to original park_at 10_000;
-  let w = Tock.Kernel.snapshot original.Tock_boards.Board.kernel in
-  (match Tock.Kernel.snapshot_clock w with
-  | Ok c -> Alcotest.(check int) "witness clock" park_at c
-  | Error e -> Alcotest.failf "snapshot_clock: %s" e);
+  let w = Tock.Kernel.freeze original.Tock_boards.Board.kernel in
+  (match Tock_obs.Codec.decode Tock.Witness.codec w with
+  | Ok wt -> Alcotest.(check int) "witness clock" park_at wt.Tock.Witness.w_now
+  | Error e -> Alcotest.failf "witness decode: %s" e);
   (* Snapshots are pure observations: retaking one changes nothing. *)
   Alcotest.(check string) "snapshot is stable" w
-    (Tock.Kernel.snapshot original.Tock_boards.Board.kernel);
+    (Tock.Kernel.freeze original.Tock_boards.Board.kernel);
   let resumed = build_sleepy () in
   (match
      Tock.Kernel.restore resumed.Tock_boards.Board.kernel
@@ -148,8 +148,8 @@ let test_snapshot_restore_determinism () =
   Alcotest.(check string) "resumed == continuously stepped"
     (fingerprint original) (fingerprint resumed);
   Alcotest.(check string) "final snapshots equal"
-    (Tock.Kernel.snapshot original.Tock_boards.Board.kernel)
-    (Tock.Kernel.snapshot resumed.Tock_boards.Board.kernel)
+    (Tock.Kernel.freeze original.Tock_boards.Board.kernel)
+    (Tock.Kernel.freeze resumed.Tock_boards.Board.kernel)
 
 (* Direct thaw: patch a fresh board from the witness in O(state) — no
    replay — and land byte-identical to the board that never parked,
@@ -181,75 +181,85 @@ let test_thaw_determinism () =
     (Tock.Kernel.freeze original.Tock_boards.Board.kernel)
     (Tock.Kernel.freeze thawed.Tock_boards.Board.kernel)
 
-(* Corrupt and truncated witnesses must come back as [Error _] from
-   every entry point — never an exception, never a silent success.
-   (A failed thaw may leave the board half-patched; each probe gets a
-   fresh board, exactly like the fleet's discard-and-replay fallback.) *)
+(* Corrupt and truncated witnesses and flight artifacts must come back
+   as [Error _] — never an exception, never a silent success. Both are
+   checksummed frames, so this holds exhaustively: every single-byte
+   flip and every truncation fails to decode. (A failed thaw may leave
+   the board half-patched; each probe gets a fresh board.) *)
 let test_witness_rejects_corruption () =
   let original = build_sleepy () in
   finish_to original 700_000 10_000;
-  let w = Tock.Kernel.freeze original.Tock_boards.Board.kernel in
+  let k = original.Tock_boards.Board.kernel in
+  let w = Tock.Kernel.freeze k in
   let expect_err name f =
     match f () with
-    | Ok _ -> Alcotest.failf "%s: corrupt witness accepted" name
+    | Ok _ -> Alcotest.failf "%s: corrupt input accepted" name
     | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: diagnostic not empty" name)
-          true
-          (String.length e > 0)
+        if String.length e = 0 then Alcotest.failf "%s: empty diagnostic" name
     | exception e ->
         Alcotest.failf "%s: raised %s instead of Error" name
           (Printexc.to_string e)
   in
-  let bad_magic = "XXXXXXXX" ^ String.sub w 8 (String.length w - 8) in
-  let flipped =
-    let b = Bytes.of_string w in
-    let i = String.length w / 2 in
+  let flip s i =
+    let b = Bytes.of_string s in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5A));
     Bytes.to_string b
   in
-  let truncations =
-    [ ""; String.sub w 0 4; String.sub w 0 (String.length w / 3);
-      String.sub w 0 (String.length w - 1) ]
+  let exhaustive what decode s =
+    for i = 0 to String.length s - 1 do
+      expect_err (Printf.sprintf "%s: byte %d flipped" what i) (fun () ->
+          decode (flip s i))
+    done;
+    for n = 0 to String.length s - 1 do
+      expect_err (Printf.sprintf "%s: truncated to %d bytes" what n) (fun () ->
+          decode (String.sub s 0 n))
+    done
   in
-  (* snapshot_clock reads only the header: it must reject a damaged
-     header, while body truncations are caught by restore/thaw below. *)
+  exhaustive "witness" (Tock_obs.Codec.decode Tock.Witness.codec) w;
+  let art =
+    Flight.encode
+      {
+        Flight.fa_cause = Flight.Fault { fl_proc = "blink"; fl_reason = "probe" };
+        fa_board = 0;
+        fa_seed = 7L;
+        fa_clock = 700_000;
+        fa_clock_hz = 16_000_000;
+        fa_events =
+          [ { Flight.fe_ts = 1; fe_tid = 0; fe_kind = "fault"; fe_phase = "i";
+              fe_dur = 0; fe_arg = 3; fe_text = "probe" } ];
+        fa_metrics = Some (Tock_obs.Metrics.packed_of (Tock.Kernel.metrics k));
+        fa_witness = w;
+      }
+  in
+  (match Flight.decode art with
+  | Ok a -> Alcotest.(check string) "artifact round trip" art (Flight.encode a)
+  | Error e -> Alcotest.failf "clean artifact rejected: %s" e);
+  exhaustive "flight artifact" Flight.decode art;
+  (* The entry points, on a flip at the first, middle and last byte. *)
+  let ends s = [ 0; String.length s / 2; String.length s - 1 ] in
   List.iter
-    (fun wbad ->
-      expect_err
-        (Printf.sprintf "snapshot_clock (%d bytes)" (String.length wbad))
-        (fun () -> Tock.Kernel.snapshot_clock wbad))
-    [ bad_magic; ""; String.sub w 0 4 ];
-  List.iter
-    (fun wbad ->
-      let n = String.length wbad in
-      expect_err
-        (Printf.sprintf "restore (%d bytes)" n)
-        (fun () ->
+    (fun i ->
+      let wbad = flip w i in
+      expect_err (Printf.sprintf "restore (byte %d flipped)" i) (fun () ->
           let b = build_sleepy () in
           Tock.Kernel.restore b.Tock_boards.Board.kernel
             ~cap:b.Tock_boards.Board.main_cap wbad);
-      expect_err
-        (Printf.sprintf "thaw (%d bytes)" n)
-        (fun () ->
+      expect_err (Printf.sprintf "thaw (byte %d flipped)" i) (fun () ->
           let b = build_sleepy () in
           Tock.Kernel.thaw b.Tock_boards.Board.kernel
             ~cap:b.Tock_boards.Board.main_cap wbad))
-    (bad_magic :: truncations);
-  (* A single flipped byte anywhere breaks restore's whole-witness byte
-     compare even when the blob still parses. (thaw may legitimately
-     accept a flip that only changes payload bytes — restore is the
-     byte-exact gate.) *)
-  expect_err "restore (flipped byte)" (fun () ->
-      let b = build_sleepy () in
-      Tock.Kernel.restore b.Tock_boards.Board.kernel
-        ~cap:b.Tock_boards.Board.main_cap flipped)
+    (ends w);
+  List.iter
+    (fun i ->
+      expect_err (Printf.sprintf "Flight.decode (byte %d flipped)" i) (fun () ->
+          Flight.decode (flip art i)))
+    (ends art)
 
-(* Property: for random workloads, sim seeds and park points,
-   freeze -> thaw onto a fresh board either reproduces the witness
-   byte-for-byte (and tracks the original under further execution), or
-   declines with [Error _] — in which case byte-verified replay must
-   still succeed. This is exactly the fleet resume contract. *)
+(* Property: for random workloads, sim seeds and park points, thaw
+   accepts exactly the witnesses of boards [Kernel.thawable] accepts.
+   When it does, the thawed board re-freezes to the witness
+   byte-for-byte and tracks the original under further execution; when
+   it does not, byte-verified replay must still succeed. *)
 let prop_freeze_thaw_contract =
   let gen =
     QCheck2.Gen.(
@@ -298,10 +308,11 @@ let prop_freeze_thaw_contract =
       let w = Tock.Kernel.freeze original.Tock_boards.Board.kernel in
       let fresh = build case in
       (match
-         Tock.Kernel.thaw fresh.Tock_boards.Board.kernel
-           ~cap:fresh.Tock_boards.Board.main_cap w
+         ( Tock.Kernel.thawable original.Tock_boards.Board.kernel,
+           Tock.Kernel.thaw fresh.Tock_boards.Board.kernel
+             ~cap:fresh.Tock_boards.Board.main_cap w )
        with
-      | Ok () ->
+      | true, Ok () ->
           if Tock.Kernel.freeze fresh.Tock_boards.Board.kernel <> w then
             QCheck2.Test.fail_report "re-freeze of thawed board <> witness";
           let deadline = park_at + 400_000 in
@@ -311,17 +322,18 @@ let prop_freeze_thaw_contract =
             QCheck2.Test.fail_reportf
               "thawed board diverged from original\noriginal: %s\nthawed:   %s"
               (fingerprint original) (fingerprint fresh)
-      | Error _ ->
-          (* thaw declined (e.g. frozen mid-slice, not at a sleep) —
-             the replay fallback must cover it. *)
+      | true, Error e ->
+          QCheck2.Test.fail_reportf "thaw refused a thawable board: %s" e
+      | false, Ok () ->
+          QCheck2.Test.fail_report "thaw accepted an unthawable board"
+      | false, Error _ -> (
           let rb = build case in
-          (match
-             Tock.Kernel.restore rb.Tock_boards.Board.kernel
-               ~cap:rb.Tock_boards.Board.main_cap w
-           with
+          match
+            Tock.Kernel.restore rb.Tock_boards.Board.kernel
+              ~cap:rb.Tock_boards.Board.main_cap w
+          with
           | Ok () -> ()
-          | Error e ->
-              QCheck2.Test.fail_reportf "thaw declined AND restore failed: %s" e));
+          | Error e -> QCheck2.Test.fail_reportf "restore failed: %s" e));
       true)
 
 let sched_counter sched name =
@@ -332,8 +344,8 @@ let sched_counter sched name =
 (* Fleet-level park/resume: identical results with parking on or off,
    at 1, 2 and 4 domains, with every resume cross-checked against the
    stored witness AND an independent replay ([verify_park]) — and
-   parking must actually have happened, via the direct thaw path with
-   zero fallbacks, for the run to be evidence of anything.
+   parking must actually have happened for the run to be evidence of
+   anything.
    [park_min_quanta = 50] keeps the 50k-cycle threshold above both the
    4096-cycle console busy-retry naps and the ~25k-cycle UART
    transmission waits (where an app is mid-print, before any
@@ -363,37 +375,40 @@ let test_park_resume_identical () =
       Alcotest.(check bool) "parking occurred" true (parks > 0);
       Alcotest.(check int) "every park resumed" parks
         (sched_counter parked.Fleet.fr_sched "fleet.sched.board_resumes");
-      Alcotest.(check int) "every resume thawed directly" 0
-        (sched_counter parked.Fleet.fr_sched "fleet.sched.thaw_fallbacks");
       Alcotest.(check bool) "resume skipped cycles in O(state)" true
         (sched_counter parked.Fleet.fr_sched "fleet.sched.resume_cycles" > 0);
       Alcotest.(check bool) "witness bytes accounted" true
         (sched_counter parked.Fleet.fr_sched "fleet.sched.witness_bytes" > 0))
     [ 1; 2; 4 ]
 
-(* An aggressive threshold ([park_min_quanta = 2] at batch 1000) parks
-   boards inside UART transmission waits and console busy-retry naps,
-   where a live app is mid-I/O with no checkpoint: thaw must decline
-   and the byte-verified replay fallback must carry every such resume
-   without changing a single result. *)
-let test_park_fallback_identical () =
+(* An aggressive threshold ([park_min_quanta = 2] at batch 1000) meets
+   long sleeps inside UART transmission waits and console busy-retry
+   naps, where a live app is mid-I/O with no checkpoint. Such boards
+   are not [thawable]: they must stay live rather than park, every
+   board that does park must thaw (a thaw error fails the run), and
+   not a single result may change. Every long sleep either parks or
+   takes the live deferred-sleep path, so the parked run's parks plus
+   deferred sleeps equal the unparked run's deferred sleeps. *)
+let test_park_mid_io_stays_live () =
   let cfg =
     small { Fleet.default with boards = 8; group_size = 1; batch = 1_000 }
   in
   let plain = Fleet.run_fleet { cfg with park = false } in
   let parked = Fleet.run_fleet { cfg with park = true; verify_park = true } in
-  check_identical "fallback resumes" plain.Fleet.fr_stats parked.Fleet.fr_stats;
-  let fallbacks =
-    sched_counter parked.Fleet.fr_sched "fleet.sched.thaw_fallbacks"
-  in
-  Alcotest.(check bool) "replay fallback exercised" true (fallbacks > 0);
-  Alcotest.(check bool) "fallbacks bounded by resumes" true
-    (fallbacks <= sched_counter parked.Fleet.fr_sched "fleet.sched.board_resumes")
+  check_identical "mid-I/O boards stay live" plain.Fleet.fr_stats
+    parked.Fleet.fr_stats;
+  let c r name = sched_counter r.Fleet.fr_sched ("fleet.sched." ^ name) in
+  let parks = c parked "board_parks" in
+  Alcotest.(check bool) "parking occurred" true (parks > 0);
+  Alcotest.(check int) "every park resumed" parks (c parked "board_resumes");
+  Alcotest.(check int) "every sleep parked or stayed live"
+    (c plain "parked_wakes")
+    (parks + c parked "parked_wakes")
 
 (* The paper-scale smoke: 100k boards materialize through the bounded
    live window, the blink mix sleeps long enough to be frozen into
-   byte witnesses, and every one of those boards must thaw directly
-   (zero replay fallbacks) before retiring into packed stats — the
+   byte witnesses, and every one of those boards must thaw directly (a
+   thaw error fails the run) before retiring into packed stats — the
    whole fleet must fit and account. *)
 let test_100k_construction_park_smoke () =
   let boards = 100_000 in
@@ -414,8 +429,6 @@ let test_100k_construction_park_smoke () =
   Alcotest.(check bool) "freeze/thaw exercised at scale" true (parks > 0);
   Alcotest.(check int) "every park resumed" parks
     (sched_counter r.Fleet.fr_sched "fleet.sched.board_resumes");
-  Alcotest.(check int) "no replay fallbacks at scale" 0
-    (sched_counter r.Fleet.fr_sched "fleet.sched.thaw_fallbacks");
   Array.iteri
     (fun i (bs : Fleet.board_stats) ->
       if bs.Fleet.bs_board <> i then
@@ -507,7 +520,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* The fault flight recorder end to end: a deliberately faulting board
-   produces a TCKFLT01 artifact on disk that decodes totally, whose
+   produces a TCKFLT02 artifact on disk that decodes totally, whose
    postmortem timeline contains the fault event, and whose freeze
    witness thaws back into a live board exhibiting the faulted
    process. With health on, the Degraded verdict adds one fleet-level
@@ -650,8 +663,8 @@ let suite =
     prop_freeze_thaw_contract;
     Alcotest.test_case "park/resume byte-identical (1/2/4 domains, verified)"
       `Quick test_park_resume_identical;
-    Alcotest.test_case "mid-I/O parks fall back to verified replay" `Quick
-      test_park_fallback_identical;
+    Alcotest.test_case "mid-I/O boards stay live instead of parking" `Quick
+      test_park_mid_io_stays_live;
     Alcotest.test_case "100k-board construction + park smoke" `Slow
       test_100k_construction_park_smoke;
     Alcotest.test_case "fleet-smoke (2 domains, stealing on)" `Quick

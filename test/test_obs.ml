@@ -349,6 +349,145 @@ let test_packed_of_matches_snapshot () =
   Alcotest.(check bool) "binary encoding is stable" true
     (Metrics.packed_to_string p = Metrics.packed_to_string (Metrics.pack snap))
 
+(* ---- the binary codec ----
+
+   Every combinator round-trips ([decode (encode v) = Ok v]), and every
+   format except [rest] is self-delimiting, so each strict prefix of an
+   encoding — every truncation — must decode to [Error]. *)
+
+module Codec = Tock_obs.Codec
+
+let codec_prop ?(count = 200) name c gen =
+  qcheck ~count ("codec: " ^ name) gen (fun v ->
+      let s = Codec.encode c v in
+      Codec.decode c s = Ok v
+      && List.for_all
+           (fun k -> Result.is_error (Codec.decode c (String.sub s 0 k)))
+           (List.init (String.length s) Fun.id))
+
+type shape = Dot | Tag of int64 | Box of (int * string) list option
+
+let shape_codec =
+  Codec.(
+    variant "shape"
+      [
+        const Dot;
+        case int64 (function Tag v -> Some v | _ -> None) (fun v -> Tag v);
+        case
+          (option (list (pair int string)))
+          (function Box b -> Some b | _ -> None)
+          (fun b -> Box b);
+      ])
+
+let gen_shape =
+  QCheck2.Gen.(
+    oneof
+      [
+        pure Dot;
+        map (fun v -> Tag v) int64;
+        map (fun b -> Box b)
+          (option (list_size (0 -- 4) (pair int (string_size (0 -- 6)))));
+      ])
+
+type sample = {
+  s_id : int;
+  s_flag : bool;
+  s_c : char;
+  s_shapes : shape list list;
+  s_last : shape option;
+  s_words : int array;
+  s_triple : int * string * bool;
+}
+
+let sample_codec =
+  Codec.(
+    record
+      (let+ s_id = field (fun r -> r.s_id) int
+       and+ s_flag = field (fun r -> r.s_flag) bool
+       and+ s_c = field (fun r -> r.s_c) char
+       and+ s_shapes = field (fun r -> r.s_shapes) (list (list shape_codec))
+       and+ s_last = field (fun r -> r.s_last) (option shape_codec)
+       and+ s_words = field (fun r -> r.s_words) (array int)
+       and+ s_triple = field (fun r -> r.s_triple) (triple int string bool) in
+       { s_id; s_flag; s_c; s_shapes; s_last; s_words; s_triple }))
+
+let gen_sample =
+  QCheck2.Gen.(
+    let* s_id = int and* s_flag = bool and* s_c = char in
+    let* s_shapes = list_size (0 -- 3) (list_size (0 -- 3) gen_shape) in
+    let* s_last = option gen_shape and* s_words = array_size (0 -- 5) int in
+    let+ s_triple = triple int (string_size (0 -- 8)) bool in
+    { s_id; s_flag; s_c; s_shapes; s_last; s_words; s_triple })
+
+let qcheck_codec_roundtrips =
+  let open QCheck2.Gen in
+  [
+    codec_prop "int" Codec.int (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+    codec_prop "int64" Codec.int64 int64;
+    codec_prop "bool" Codec.bool bool;
+    codec_prop "char" Codec.char char;
+    codec_prop "string" Codec.string (string_size (0 -- 40));
+    codec_prop "nested list" Codec.(list (list int)) (list_size (0 -- 4) (list_size (0 -- 4) int));
+    codec_prop "nested option" Codec.(option (option string))
+      (option (option (string_size (0 -- 5))));
+    codec_prop "array" Codec.(array int) (array_size (0 -- 8) int);
+    codec_prop "variant" shape_codec gen_shape;
+    codec_prop "conv" Codec.(conv Int64.of_int Int64.to_int int64) int;
+    codec_prop "record of everything" sample_codec gen_sample;
+    codec_prop ~count:50 "sized and framed"
+      Codec.(frame ~magic:"TESTMAG1" (pair (sized sample_codec) (sized (pair string rest))))
+      (pair gen_sample (pair (string_size (0 -- 5)) (string_size (0 -- 5))));
+  ]
+
+let test_codec_rejects () =
+  let err name c s =
+    match Codec.decode c s with
+    | Error e when String.length e > 0 -> ()
+    | Error _ -> Alcotest.failf "%s: empty diagnostic" name
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+  in
+  let enc c v = Codec.encode c v in
+  err "trailing byte" Codec.int (enc Codec.int 5 ^ "x");
+  err "bad bool byte" Codec.bool "\002";
+  err "unknown variant tag" shape_codec "\003";
+  err "count over max" Codec.(list ~max:2 int) (enc Codec.(list int) [ 1; 2; 3 ]);
+  err "negative count" Codec.(list int) (enc Codec.int (-1));
+  err "absurd count" Codec.(list int) (enc Codec.int max_int);
+  err "negative string length" Codec.string (enc Codec.int (-5));
+  err "sized overrun" Codec.(sized int) (enc Codec.(pair int int) (16, 1));
+  err "sized underrun" Codec.(sized int) (enc Codec.string "123456789");
+  err "conv rejection"
+    Codec.(conv Fun.id (fun v -> if v < 0 then fail "negative %d" v else v) int)
+    (enc Codec.int (-3));
+  let framed = Codec.frame ~magic:"TESTMAG1" Codec.string in
+  let good = enc framed "payload" in
+  err "wrong magic" (Codec.frame ~magic:"TESTMAG2" Codec.string) good;
+  let flipped =
+    let b = Bytes.of_string good in
+    Bytes.set b 20 'X';
+    Bytes.to_string b
+  in
+  err "checksum mismatch" framed flipped;
+  Alcotest.(check bool) "clean frame decodes" true
+    (Codec.decode framed good = Ok "payload")
+
+(* The nested packed-metrics encoding is carried inside board
+   witnesses and flight artifacts, so it must not drift: a fixed
+   registry always encodes to the same bytes. *)
+let test_packed_golden_bytes () =
+  let r = Metrics.create () in
+  Metrics.add (Metrics.counter r "kernel.syscalls") 4242;
+  Metrics.add (Metrics.counter r "driver.alarm.commands") 17;
+  Metrics.set (Metrics.gauge r "process.blink.grant_bytes") 96;
+  Metrics.set (Metrics.gauge r "sim.neg") (-5);
+  let h = Metrics.histogram r "kernel.syscall_cycles.command" in
+  List.iter (Metrics.observe h) [ 0; 1; 2; 3; 250; 251; 70_000 ];
+  ignore (Metrics.histogram r "kernel.empty_hist");
+  let s = Metrics.packed_to_string (Metrics.packed_of r) in
+  Alcotest.(check int) "encoded length" 352 (String.length s);
+  Alcotest.(check string) "encoded digest" "bade8e16744e370f23d624b8800d5651"
+    (Digest.to_hex (Digest.string s))
+
 (* ---- packed codec hardening ----
 
    External packed bytes (park buffers, flight artifacts) must never
@@ -731,8 +870,15 @@ let suite =
     Alcotest.test_case "merge sums" `Quick test_merge_sums;
     qcheck_merge_kernel_equivalence;
     qcheck_pack_roundtrip;
+  ]
+  @ qcheck_codec_roundtrips
+  @ [
     Alcotest.test_case "packed_of matches snapshot" `Quick
       test_packed_of_matches_snapshot;
+    Alcotest.test_case "codec rejects malformed input" `Quick
+      test_codec_rejects;
+    Alcotest.test_case "packed encoding golden bytes" `Quick
+      test_packed_golden_bytes;
     Alcotest.test_case "packed codec rejects corruption" `Quick
       test_packed_rejects_corruption;
     Alcotest.test_case "merge type clash" `Quick test_merge_type_clash;
