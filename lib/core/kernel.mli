@@ -339,10 +339,11 @@ val thaw : t -> cap:Capability.main_loop -> string -> (unit, string) result
     the witness bytes, without replay: preallocate witnessed grants and
     install resume alarms ([`Pre] freezer loads), warp the clock to the
     frozen instant, run each live process's factory prologue to
-    quiescence (resumable apps skip completed iterations and re-enter
-    the recorded sleep — see [Apps]), re-warp, patch processes
-    wholesale (upcall-id remap, subscriptions, allows, pending upcalls,
-    breaks, RAM, counters, emulator residue), run [`Post] freezer
+    quiescence with the clock held there (resumable apps skip
+    completed iterations and re-enter the recorded sleep — see
+    [Apps]), patch processes wholesale (upcall-id remap,
+    subscriptions, allows, pending upcalls, breaks, RAM, counters,
+    emulator residue), run [`Post] freezer
     loads, verify the rebuilt event schedule against the witness, and
     overwrite both metrics registries. On success, [freeze t = w].
     [Error] — with the board left in an unspecified half-patched state

@@ -89,7 +89,9 @@ val with_clock_held : t -> (unit -> 'a) -> 'a
     are counted as activity but do not move the clock, and no event
     fires. Used by {!Tock.Kernel.thaw} so its resume prologues run at
     the frozen instant — they can neither arm a timer against a later
-    clock nor fire an event the frozen board had not reached. *)
+    clock nor fire an event the frozen board had not reached. [f] must
+    not sleep: with events held, {!sleep_until} would never reach its
+    deadline. *)
 
 val rng_state : t -> int64
 (** Raw root-PRNG state, for the board-state witness. *)
