@@ -255,86 +255,101 @@ let test_witness_rejects_corruption () =
           Flight.decode (flip art i)))
     (ends art)
 
-(* Property: for random workloads, sim seeds and park points, thaw
-   accepts exactly the witnesses of boards [Kernel.thawable] accepts.
-   When it does, the thawed board re-freezes to the witness
-   byte-for-byte and tracks the original under further execution; when
-   it does not, byte-verified replay must still succeed. *)
+(* The freeze/thaw subjects: three app mixes, by shape. *)
+let build_case (shape, period, _park_at, seed) =
+  let sim =
+    Tock_hw.Sim.create ~seed:(Int64.of_int (0xBEE0000 + seed))
+      ~trace_capacity:0 ()
+  in
+  let chip = Tock_hw.Chip.sam4l_like sim in
+  let board = Tock_boards.Board.build chip in
+  let apps =
+    match shape with
+    | 0 ->
+        [ ("counter", Tock_userland.Apps.counter ~n:4 ~period_ticks:period);
+          ("hello", Tock_userland.Apps.hello) ]
+    | 1 ->
+        [ ("blink", Tock_userland.Apps.blink ~led:0 ~period_ticks:period
+             ~blinks:6);
+          ("sensors", Tock_userland.Apps.sensor_logger ~samples:3
+             ~period_ticks:(period * 3)) ]
+    | _ ->
+        [ ("kv", Tock_userland.Apps.kv_user ~rounds:2);
+          ("counter", Tock_userland.Apps.counter ~n:2 ~period_ticks:period) ]
+  in
+  List.iter
+    (fun (name, app) ->
+      match Tock_boards.Board.add_app board ~name app with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "add_app %s: %s" name (Tock.Error.to_string e))
+    apps;
+  board
+
+(* The fleet resume contract: thaw accepts exactly the witnesses of
+   boards [Kernel.thawable] accepts. When it does, the thawed board
+   re-freezes to the witness byte-for-byte and tracks the original
+   under further execution; when it does not, byte-verified replay
+   must still succeed. *)
+let freeze_thaw_contract ((_, _, park_at, _) as case) =
+  let original = build_case case in
+  finish_to original park_at 10_000;
+  let w = Tock.Kernel.freeze original.Tock_boards.Board.kernel in
+  let fresh = build_case case in
+  (match
+     ( Tock.Kernel.thawable original.Tock_boards.Board.kernel,
+       Tock.Kernel.thaw fresh.Tock_boards.Board.kernel
+         ~cap:fresh.Tock_boards.Board.main_cap w )
+   with
+  | true, Ok () ->
+      if Tock.Kernel.freeze fresh.Tock_boards.Board.kernel <> w then
+        QCheck2.Test.fail_report "re-freeze of thawed board <> witness";
+      let deadline = park_at + 400_000 in
+      finish_to original deadline 10_000;
+      finish_to fresh deadline 7_001;
+      if fingerprint original <> fingerprint fresh then
+        QCheck2.Test.fail_reportf
+          "thawed board diverged from original\noriginal: %s\nthawed:   %s"
+          (fingerprint original) (fingerprint fresh)
+  | true, Error e ->
+      QCheck2.Test.fail_reportf "thaw refused a thawable board: %s" e
+  | false, Ok () -> QCheck2.Test.fail_report "thaw accepted an unthawable board"
+  | false, Error _ -> (
+      let rb = build_case case in
+      match
+        Tock.Kernel.restore rb.Tock_boards.Board.kernel
+          ~cap:rb.Tock_boards.Board.main_cap w
+      with
+      | Ok () -> ()
+      | Error e -> QCheck2.Test.fail_reportf "restore failed: %s" e));
+  true
+
+(* Property: the contract above for random workloads, sim seeds and
+   park points. *)
 let prop_freeze_thaw_contract =
-  let gen =
-    QCheck2.Gen.(
-      quad (int_range 0 2) (int_range 50 800) (int_range 20_000 1_200_000)
-        (int_range 1 0xFFFF))
-  in
-  let build (shape, period, _park_at, seed) =
-    let sim =
-      Tock_hw.Sim.create ~seed:(Int64.of_int (0xBEE0000 + seed))
-        ~trace_capacity:0 ()
-    in
-    let chip = Tock_hw.Chip.sam4l_like sim in
-    let board = Tock_boards.Board.build chip in
-    let apps =
-      match shape with
-      | 0 ->
-          [ ("counter", Tock_userland.Apps.counter ~n:4 ~period_ticks:period);
-            ("hello", Tock_userland.Apps.hello) ]
-      | 1 ->
-          [ ("blink", Tock_userland.Apps.blink ~led:0 ~period_ticks:period
-               ~blinks:6);
-            ("sensors", Tock_userland.Apps.sensor_logger ~samples:3
-               ~period_ticks:(period * 3)) ]
-      | _ ->
-          [ ("kv", Tock_userland.Apps.kv_user ~rounds:2);
-            ("counter", Tock_userland.Apps.counter ~n:2 ~period_ticks:period) ]
-    in
-    List.iter
-      (fun (name, app) ->
-        match Tock_boards.Board.add_app board ~name app with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "add_app %s: %s" name (Tock.Error.to_string e))
-      apps;
-    board
-  in
   QCheck_alcotest.to_alcotest
   @@ QCheck2.Test.make ~count:25
        ~name:"freeze/thaw contract (random workload, park point)"
        ~print:(fun (shape, period, park_at, seed) ->
          Printf.sprintf "shape=%d period=%d park_at=%d seed=%d" shape period
            park_at seed)
-       gen
-    (fun ((_, _, park_at, _) as case) ->
-      let original = build case in
-      finish_to original park_at 10_000;
-      let w = Tock.Kernel.freeze original.Tock_boards.Board.kernel in
-      let fresh = build case in
-      (match
-         ( Tock.Kernel.thawable original.Tock_boards.Board.kernel,
-           Tock.Kernel.thaw fresh.Tock_boards.Board.kernel
-             ~cap:fresh.Tock_boards.Board.main_cap w )
-       with
-      | true, Ok () ->
-          if Tock.Kernel.freeze fresh.Tock_boards.Board.kernel <> w then
-            QCheck2.Test.fail_report "re-freeze of thawed board <> witness";
-          let deadline = park_at + 400_000 in
-          finish_to original deadline 10_000;
-          finish_to fresh deadline 7_001;
-          if fingerprint original <> fingerprint fresh then
-            QCheck2.Test.fail_reportf
-              "thawed board diverged from original\noriginal: %s\nthawed:   %s"
-              (fingerprint original) (fingerprint fresh)
-      | true, Error e ->
-          QCheck2.Test.fail_reportf "thaw refused a thawable board: %s" e
-      | false, Ok () ->
-          QCheck2.Test.fail_report "thaw accepted an unthawable board"
-      | false, Error _ -> (
-          let rb = build case in
-          match
-            Tock.Kernel.restore rb.Tock_boards.Board.kernel
-              ~cap:rb.Tock_boards.Board.main_cap w
-          with
-          | Ok () -> ()
-          | Error e -> QCheck2.Test.fail_reportf "restore failed: %s" e));
-      true)
+       QCheck2.Gen.(
+         quad (int_range 0 2) (int_range 50 800) (int_range 20_000 1_200_000)
+           (int_range 1 0xFFFF))
+       freeze_thaw_contract
+
+(* Regression: this counter board is frozen at its checkpoint sleep
+   730 cycles before the alarm's hardware event. The thaw prologue's own
+   bookkeeping cycles used to cross that event, so the rebuilt app woke
+   early and thaw failed; prologues now run with the clock held. *)
+let test_thaw_just_before_timer_event () =
+  let case = (0, 362, 793_894, 1) in
+  let b = build_case case in
+  finish_to b 793_894 10_000;
+  Alcotest.(check bool) "frozen thawable" true
+    (Tock.Kernel.thawable b.Tock_boards.Board.kernel);
+  Alcotest.(check bool) "next event 730 cycles out" true
+    (Tock_hw.Sim.next_deadline b.Tock_boards.Board.sim = 793_894 + 730);
+  ignore (freeze_thaw_contract case)
 
 let sched_counter sched name =
   match List.assoc_opt name sched with
@@ -661,6 +676,8 @@ let suite =
     Alcotest.test_case "corrupt witnesses rejected as Error" `Quick
       test_witness_rejects_corruption;
     prop_freeze_thaw_contract;
+    Alcotest.test_case "thaw just before a timer event" `Quick
+      test_thaw_just_before_timer_event;
     Alcotest.test_case "park/resume byte-identical (1/2/4 domains, verified)"
       `Quick test_park_resume_identical;
     Alcotest.test_case "mid-I/O boards stay live instead of parking" `Quick

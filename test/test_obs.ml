@@ -463,8 +463,9 @@ let test_codec_rejects () =
   let good = enc framed "payload" in
   err "wrong magic" (Codec.frame ~magic:"TESTMAG2" Codec.string) good;
   let flipped =
+    (* a payload character: only the checksum can notice *)
     let b = Bytes.of_string good in
-    Bytes.set b 20 'X';
+    Bytes.set b 25 'X';
     Bytes.to_string b
   in
   err "checksum mismatch" framed flipped;
