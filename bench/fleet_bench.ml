@@ -91,7 +91,9 @@ let measure ?(park = false) ?batch ?park_min_quanta ~boards ~domains ~cycles ()
   in
   (* Warm the minor heap/domain pool once so the first timed run isn't
      charged for spawn cost the steady state doesn't pay. *)
-  ignore (Tock_fleet.Fleet.run { cfg with boards = min boards 4; cycles = 10_000 });
+  ignore
+    (Tock_fleet.Fleet.run_fleet
+       { cfg with boards = min boards 4; cycles = 10_000 });
   let base = live_words () in
   let t0 = Unix.gettimeofday () in
   let result = Tock_fleet.Fleet.run_fleet cfg in

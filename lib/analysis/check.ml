@@ -1,8 +1,8 @@
-(* otock-check: the AST-level companion to the syntactic linter.
+(* otock-check: the dataflow pass of otock_lint.
 
-   Where otock-lint pattern-matches tokens, otock-check parses real
-   OCaml ASTs (compiler-libs [Parse] + [Ast_iterator]) and runs two
-   interprocedural dataflow passes over them:
+   It reads the same {!Ast_extract} summaries as the architecture rules
+   (one compiler-libs parse per file) and runs two interprocedural
+   dataflow passes over them:
 
    - {!Domain_safety}: module-toplevel mutable state reachable from the
      fleet's per-domain shard entry points without Atomic/Mutex
@@ -23,39 +23,16 @@ let in_scope path =
     Taxonomy.kernel_dirs
 
 let run ?entry_files (files : Source.file list) : Rules.result =
-  let ml_files =
+  let summaries =
     List.filter
       (fun (f : Source.file) ->
         f.Source.kind = Source.Ml && in_scope f.Source.path)
       files
+    |> List.sort (fun (a : Source.file) b -> compare a.Source.path b.Source.path)
+    |> List.map (fun (f : Source.file) ->
+           Ast_extract.of_source ~path:f.Source.path f.Source.content)
   in
-  let ml_files =
-    List.sort
-      (fun (a : Source.file) b -> compare a.Source.path b.Source.path)
-      ml_files
-  in
-  let summaries =
-    List.map
-      (fun (f : Source.file) ->
-        Ast_extract.of_source ~path:f.Source.path f.Source.content)
-      ml_files
-  in
-  let parse_violations =
-    List.filter_map
-      (fun (a : Ast_extract.t) ->
-        if a.Ast_extract.a_parsed then None
-        else
-          Some
-            {
-              Rules.v_rule = "check-parse";
-              v_file = a.Ast_extract.a_path;
-              v_line = 1;
-              v_message =
-                "file does not parse with compiler-libs: otock-check \
-                 cannot analyze it, so its findings are unknown";
-            })
-      summaries
-  in
+  let parse_violations = List.filter_map Rules.parse_failure summaries in
   let parsed = List.filter (fun a -> a.Ast_extract.a_parsed) summaries in
   let safety_violations =
     List.map
@@ -75,28 +52,25 @@ let run ?entry_files (files : Source.file list) : Rules.result =
   in
   let escape_violations =
     List.concat_map
-      (fun ((f : Source.file), (a : Ast_extract.t)) ->
-        match Ast_extract.parse ~path:f.Source.path f.Source.content with
-        | None -> []
-        | Some st ->
-            let global_names =
-              List.sort_uniq compare
-                (List.concat_map
-                   (fun (g : Ast_extract.global) ->
-                     [ g.Ast_extract.g_name;
-                       last_component g.Ast_extract.g_name ])
-                   a.Ast_extract.a_globals)
-            in
-            List.map
-              (fun (e : Escape.finding) ->
-                {
-                  Rules.v_rule = "allow-escape";
-                  v_file = e.Escape.f_file;
-                  v_line = e.Escape.f_line;
-                  v_message = e.Escape.f_message;
-                })
-              (Escape.analyze ~path:f.Source.path ~global_names st))
-      (List.combine ml_files summaries)
+      (fun (a : Ast_extract.t) ->
+        let global_names =
+          List.sort_uniq compare
+            (List.concat_map
+               (fun (g : Ast_extract.global) ->
+                 [ g.Ast_extract.g_name; last_component g.Ast_extract.g_name ])
+               a.Ast_extract.a_globals)
+        in
+        List.map
+          (fun (e : Escape.finding) ->
+            {
+              Rules.v_rule = "allow-escape";
+              v_file = e.Escape.f_file;
+              v_line = e.Escape.f_line;
+              v_message = e.Escape.f_message;
+            })
+          (Escape.analyze ~path:a.Ast_extract.a_path ~global_names
+             a.Ast_extract.a_structure))
+      parsed
   in
   let all =
     List.sort
@@ -109,14 +83,13 @@ let run ?entry_files (files : Source.file list) : Rules.result =
         | c -> c)
       (parse_violations @ safety_violations @ escape_violations)
   in
-  let pragma_table = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Source.file) ->
-      Hashtbl.replace pragma_table f.Source.path
-        (Extract.of_ml f.Source.content).Extract.pragmas)
-    ml_files;
   let pragmas_for file =
-    Option.value ~default:[] (Hashtbl.find_opt pragma_table file)
+    match
+      List.find_opt (fun (a : Ast_extract.t) -> a.Ast_extract.a_path = file)
+        summaries
+    with
+    | Some a -> a.Ast_extract.a_pragmas
+    | None -> []
   in
   let violations, suppressed = Rules.suppress ~pragmas_for all in
   { Rules.violations; suppressed }

@@ -1,8 +1,8 @@
-(** otock-check orchestrator: parses every in-scope [.ml] file
-    (kernel dirs) with compiler-libs and runs the {!Domain_safety} and
+(** otock-check orchestrator: summarizes every in-scope [.ml] file
+    (kernel dirs) with {!Ast_extract} and runs the {!Domain_safety} and
     {!Escape} dataflow analyses, folding findings into the same
-    {!Rules.result} shape — and pragma grammar — as the syntactic
-    linter, so {!Report}'s baseline ratchet applies unchanged.
+    {!Rules.result} shape — and pragma grammar — as the architecture
+    rules, so {!Report}'s baseline ratchet applies unchanged.
 
     Rule ids emitted: [domain-safety], [allow-escape], and
     [check-parse] for files compiler-libs rejects (an unparsable file

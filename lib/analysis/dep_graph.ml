@@ -1,5 +1,6 @@
-(* Module-reference graph: resolves the syntactic references Extract
-   found into edges between source files and otock libraries.
+(* Module-reference graph: resolves the references Ast_extract found
+   into edges between source files and otock libraries, and reads the
+   dune stanza inventory.
 
    Resolution handles the three ways a foreign module gets named in this
    tree: fully qualified (`Tock_hw.Uart.write`), as a sibling inside the
@@ -20,14 +21,16 @@ type node = {
   node_path : string;
   node_lib : Taxonomy.library option;  (* owning library, if under lib/ *)
   node_category : Taxonomy.category option;
-  node_extract : Extract.t;
+  node_summary : Ast_extract.t;
   node_edges : edge list;
 }
 
 type dune_stanza = {
   dune_path : string;  (* repo-relative path of the dune file *)
   dune_dir : string;
-  stanza : Extract.stanza;
+  stanza_kind : string;  (* "library", "executable", "executables", "test" *)
+  stanza_names : string list;
+  stanza_libraries : (string * int) list;  (* dep, line *)
 }
 
 type t = {
@@ -52,7 +55,7 @@ let submodule_table files =
             (Taxonomy.library_of_path f.Source.path))
     files
 
-let resolve ~table ~own_lib ~(opens : Extract.open_decl list) mods member line =
+let resolve ~table ~own_lib ~(opens : Ast_extract.open_decl list) mods member line =
   let root = List.hd mods in
   let sub_of rest = match rest with [] -> None | s :: _ -> Some s in
   match Taxonomy.library_by_root_module root with
@@ -80,8 +83,8 @@ let resolve ~table ~own_lib ~(opens : Extract.open_decl list) mods member line =
             }
       | _ ->
           List.find_map
-            (fun (o : Extract.open_decl) ->
-              match o.Extract.open_modules with
+            (fun (o : Ast_extract.open_decl) ->
+              match o.Ast_extract.open_modules with
               | [ om ] -> (
                   match Taxonomy.library_by_root_module om with
                   | Some lib when in_lib lib.Taxonomy.lib_name ->
@@ -97,28 +100,28 @@ let resolve ~table ~own_lib ~(opens : Extract.open_decl list) mods member line =
               | _ -> None)
             opens)
 
-let edges_of_file ~table (f : Source.file) (ex : Extract.t) =
-  let own_lib = Taxonomy.library_of_path f.Source.path in
-  let opens = ex.Extract.opens in
-  let of_ref (r : Extract.reference) =
-    resolve ~table ~own_lib ~opens r.Extract.ref_modules r.Extract.ref_member
-      r.Extract.ref_line
+let edges_of_file ~table (a : Ast_extract.t) =
+  let own_lib = Taxonomy.library_of_path a.Ast_extract.a_path in
+  let opens = a.Ast_extract.a_opens in
+  let of_ref (r : Ast_extract.reference) =
+    resolve ~table ~own_lib ~opens r.Ast_extract.ref_modules
+      r.Ast_extract.ref_member r.Ast_extract.ref_line
   in
   (* `open Tock_hw` (or `open Tock_hw.Uart`) is itself an edge. A
      scoped `let open M in` is not: its references are still resolved
      through it above, but the expression-local import is not the file
      declaring a wholesale dependency (the userland wholesale-open rule
      keys on exactly this distinction). *)
-  let of_open (o : Extract.open_decl) =
-    if o.Extract.open_scoped then None
+  let of_open (o : Ast_extract.open_decl) =
+    if o.Ast_extract.open_scoped then None
     else
-    match o.Extract.open_modules with
+    match o.Ast_extract.open_modules with
     | root :: rest -> (
         match Taxonomy.library_by_root_module root with
         | Some lib ->
             Some
               {
-                edge_line = o.Extract.open_line;
+                edge_line = o.Ast_extract.open_line;
                 edge_lib = lib;
                 edge_submodule = (match rest with [] -> None | s :: _ -> Some s);
                 edge_member = None;
@@ -127,8 +130,99 @@ let edges_of_file ~table (f : Source.file) (ex : Extract.t) =
         | None -> None)
     | [] -> None
   in
-  List.filter_map of_ref ex.Extract.refs
-  @ List.filter_map of_open ex.Extract.opens
+  List.filter_map of_ref a.Ast_extract.a_refs
+  @ List.filter_map of_open opens
+
+(* --- dune files ------------------------------------------------------ *)
+
+type sexp = Atom of string * int | List of sexp list * int
+
+let sexps_of_dune content =
+  let n = String.length content in
+  let line = ref 1 in
+  let i = ref 0 in
+  let bump () =
+    if content.[!i] = '\n' then incr line;
+    incr i
+  in
+  let rec read_list acc =
+    if !i >= n then List.rev acc
+    else
+      match content.[!i] with
+      | ')' ->
+          bump ();
+          List.rev acc
+      | '(' ->
+          let l0 = !line in
+          bump ();
+          let inner = read_list [] in
+          read_list (List (inner, l0) :: acc)
+      | ';' ->
+          while !i < n && content.[!i] <> '\n' do bump () done;
+          read_list acc
+      | ' ' | '\t' | '\n' | '\r' ->
+          bump ();
+          read_list acc
+      | '"' ->
+          let l0 = !line in
+          bump ();
+          let s = !i in
+          while !i < n && content.[!i] <> '"' do
+            if content.[!i] = '\\' then bump ();
+            if !i < n then bump ()
+          done;
+          let a = String.sub content s (!i - s) in
+          if !i < n then bump ();
+          read_list (Atom (a, l0) :: acc)
+      | _ ->
+          let l0 = !line in
+          let s = !i in
+          while
+            !i < n
+            && not
+                 (List.mem content.[!i] [ '('; ')'; ' '; '\t'; '\n'; '\r'; ';' ])
+          do
+            bump ()
+          done;
+          read_list (Atom (String.sub content s (!i - s), l0) :: acc)
+  in
+  read_list []
+
+(* Stanzas of kind library/executable/executables/test, with their
+   name/names and libraries fields. *)
+let dune_stanzas ~path content =
+  sexps_of_dune content
+  |> List.filter_map (function
+       | List (Atom (kind, _) :: fields, _)
+         when List.mem kind [ "library"; "executable"; "executables"; "test" ]
+         ->
+           let names = ref [] in
+           let libs = ref [] in
+           List.iter
+             (function
+               | List (Atom ("name", _) :: Atom (n, _) :: _, _) ->
+                   names := !names @ [ n ]
+               | List (Atom ("names", _) :: rest, _) ->
+                   List.iter
+                     (function Atom (n, _) -> names := !names @ [ n ] | _ -> ())
+                     rest
+               | List (Atom ("libraries", _) :: rest, _) ->
+                   List.iter
+                     (function
+                       | Atom (n, l) -> libs := !libs @ [ (n, l) ]
+                       | _ -> ())
+                     rest
+               | _ -> ())
+             fields;
+           Some
+             {
+               dune_path = path;
+               dune_dir = Filename.dirname path;
+               stanza_kind = kind;
+               stanza_names = !names;
+               stanza_libraries = !libs;
+             }
+       | _ -> None)
 
 let build (files : Source.file list) =
   let table = submodule_table files in
@@ -138,14 +232,14 @@ let build (files : Source.file list) =
         match f.Source.kind with
         | Source.Dune -> None
         | _ ->
-            let ex = Extract.of_ml f.Source.content in
+            let a = Ast_extract.of_source ~path:f.Source.path f.Source.content in
             Some
               {
                 node_path = f.Source.path;
                 node_lib = Taxonomy.library_of_path f.Source.path;
                 node_category = Taxonomy.categorize f.Source.path;
-                node_extract = ex;
-                node_edges = edges_of_file ~table f ex;
+                node_summary = a;
+                node_edges = edges_of_file ~table a;
               })
       files
   in
@@ -153,14 +247,7 @@ let build (files : Source.file list) =
     List.concat_map
       (fun (f : Source.file) ->
         match f.Source.kind with
-        | Source.Dune ->
-            Extract.dune_stanzas f.Source.content
-            |> List.map (fun s ->
-                   {
-                     dune_path = f.Source.path;
-                     dune_dir = Filename.dirname f.Source.path;
-                     stanza = s;
-                   })
+        | Source.Dune -> dune_stanzas ~path:f.Source.path f.Source.content
         | _ -> [])
       files
   in

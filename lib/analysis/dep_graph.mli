@@ -1,6 +1,6 @@
-(** The module-reference graph: source files with their syntactic
-    extraction and resolved edges to otock libraries, plus the dune
-    stanza inventory. *)
+(** The module-reference graph: source files with their
+    {!Ast_extract} summary and resolved edges to otock libraries, plus
+    the dune stanza inventory. *)
 
 type edge = {
   edge_line : int;
@@ -16,14 +16,18 @@ type node = {
   node_path : string;
   node_lib : Taxonomy.library option;
   node_category : Taxonomy.category option;
-  node_extract : Extract.t;
+  node_summary : Ast_extract.t;
   node_edges : edge list;
 }
 
 type dune_stanza = {
   dune_path : string;
   dune_dir : string;
-  stanza : Extract.stanza;
+  stanza_kind : string;
+      (** [library], [executable], [executables] or [test]; other
+          stanzas are not read. *)
+  stanza_names : string list;  (** [name] / [names] fields. *)
+  stanza_libraries : (string * int) list;  (** [libraries], with lines. *)
 }
 
 type t = {

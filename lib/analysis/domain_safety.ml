@@ -1,7 +1,7 @@
 (* Domain-safety (race) analysis: module-toplevel mutable state
    reachable from the fleet's per-domain shard entry points.
 
-   [Fleet.run] spawns one [Domain] per shard and every shard drives
+   [Fleet.run_fleet] spawns one [Domain] per shard and every shard drives
    boards through the same library code. A [ref]/[Hashtbl]/[Buffer]/
    mutable-record global touched on that path is shared across domains
    with no happens-before edge — the OCaml-5 analogue of the `static
@@ -90,7 +90,8 @@ let resolve ~by_key ~(file : Ast_extract.t) (r : Ast_extract.value_ref) =
         try_all
           (name
           :: List.map
-               (fun o -> dotted o ^ "." ^ name)
+               (fun (o : Ast_extract.open_decl) ->
+                 dotted o.Ast_extract.open_modules ^ "." ^ name)
                file.Ast_extract.a_opens)
       with
       | Some i -> Some i

@@ -27,7 +27,7 @@ type violation = {
 
 type result = {
   violations : violation list;  (* not suppressed by a pragma *)
-  suppressed : (violation * Extract.pragma) list;
+  suppressed : (violation * Ast_extract.pragma) list;
 }
 
 let v rule file line fmt =
@@ -136,15 +136,15 @@ let rule_mint_confinement (n : Dep_graph.node) =
   if mint_allowed n.Dep_graph.node_path then []
   else
     List.filter_map
-      (fun (r : Extract.reference) ->
-        if List.mem "Trusted_mint" r.Extract.ref_modules then
+      (fun (r : Ast_extract.reference) ->
+        if List.mem "Trusted_mint" r.Ast_extract.ref_modules then
           Some
-            (v "mint-confinement" n.Dep_graph.node_path r.Extract.ref_line
+            (v "mint-confinement" n.Dep_graph.node_path r.Ast_extract.ref_line
                "Trusted_mint referenced outside lib/boards and test/: \
                 capability tokens are forgeable from here (paper §4.4, \
                 Listing 1)")
         else None)
-      n.Dep_graph.node_extract.Extract.refs
+      n.Dep_graph.node_summary.Ast_extract.a_refs
 
 (* --- unsafe-analogue confinement -------------------------------------- *)
 
@@ -157,15 +157,15 @@ let rule_obj_magic (n : Dep_graph.node) =
   if trusted n then []
   else
     List.filter_map
-      (fun (r : Extract.reference) ->
-        if r.Extract.ref_modules = [ "Obj" ] then
+      (fun (r : Ast_extract.reference) ->
+        if r.Ast_extract.ref_modules = [ "Obj" ] then
           Some
-            (v "obj-magic" n.Dep_graph.node_path r.Extract.ref_line
+            (v "obj-magic" n.Dep_graph.node_path r.Ast_extract.ref_line
                "Obj.%s outside the trusted set: this is the unsafe-analogue \
                 and belongs in lib/hw or trusted lib/core only"
-               (Option.value ~default:"" r.Extract.ref_member))
+               (Option.value ~default:"" r.Ast_extract.ref_member))
         else None)
-      n.Dep_graph.node_extract.Extract.refs
+      n.Dep_graph.node_summary.Ast_extract.a_refs
 
 let suppression_attr text =
   (* [@warning "-..."], [@@@warning "-..."], [@ocaml.warning "-..."] *)
@@ -180,15 +180,15 @@ let rule_warning_suppression (n : Dep_graph.node) =
   if trusted n || tooling n then []
   else
     List.filter_map
-      (fun (a : Extract.attribute) ->
-        if suppression_attr a.Extract.attr_text then
+      (fun (a : Ast_extract.attribute) ->
+        if suppression_attr a.Ast_extract.attr_text then
           Some
-            (v "warning-suppression" n.Dep_graph.node_path a.Extract.attr_line
+            (v "warning-suppression" n.Dep_graph.node_path a.Ast_extract.attr_line
                "warning suppression %s outside the trusted set hides exactly \
                 the diagnostics the Fig. 5 discipline depends on"
-               (String.trim a.Extract.attr_text))
+               (String.trim a.Ast_extract.attr_text))
         else None)
-      n.Dep_graph.node_extract.Extract.attributes
+      n.Dep_graph.node_summary.Ast_extract.a_attributes
 
 let rule_missing_mli (g : Dep_graph.t) =
   List.filter_map
@@ -210,16 +210,16 @@ let rule_subslice_escape (n : Dep_graph.node) =
   if trusted n || tooling n then []
   else
     List.filter_map
-      (fun (r : Extract.reference) ->
-        match (r.Extract.ref_modules, r.Extract.ref_member) with
+      (fun (r : Ast_extract.reference) ->
+        match (r.Ast_extract.ref_modules, r.Ast_extract.ref_member) with
         | mods, Some "underlying" when List.exists (( = ) "Subslice") mods ->
             Some
-              (v "subslice-escape" n.Dep_graph.node_path r.Extract.ref_line
+              (v "subslice-escape" n.Dep_graph.node_path r.Ast_extract.ref_line
                  "Subslice.underlying exposes the raw buffer behind the \
                   window; outside trusted DMA models use the checked \
                   window API (paper §4.2)")
         | _ -> None)
-      n.Dep_graph.node_extract.Extract.refs
+      n.Dep_graph.node_summary.Ast_extract.a_refs
 
 (* A capsule reaching for [Bytes.sub]/[Bytes.copy] is copying payload the
    allow-window discipline says it should window in place: the zero-copy
@@ -231,18 +231,18 @@ let rule_capsule_byte_copy (n : Dep_graph.node) =
   match cat_of n with
   | Some Taxonomy.Capsule ->
       List.filter_map
-        (fun (r : Extract.reference) ->
-          match (r.Extract.ref_modules, r.Extract.ref_member) with
+        (fun (r : Ast_extract.reference) ->
+          match (r.Ast_extract.ref_modules, r.Ast_extract.ref_member) with
           | [ "Bytes" ], Some (("sub" | "copy") as m) ->
               Some
                 (v "capsule-byte-copy" n.Dep_graph.node_path
-                   r.Extract.ref_line
+                   r.Ast_extract.ref_line
                    "Bytes.%s in a capsule: data-plane code operates on \
                     allow windows in place (Subslice); justify deliberate \
                     copies with a pragma"
                    m)
           | _ -> None)
-        n.Dep_graph.node_extract.Extract.refs
+        n.Dep_graph.node_summary.Ast_extract.a_refs
   | _ -> []
 
 (* A kernel or capsule module writing straight to the host's stdout is
@@ -253,28 +253,24 @@ let rule_capsule_byte_copy (n : Dep_graph.node) =
    deliberate cases carry a pragma. *)
 let raw_print_members = [ "printf"; "eprintf" ]
 
-let bare_print_idents =
-  [
-    "print_string"; "print_endline"; "print_newline"; "print_char";
-    "print_int"; "prerr_string"; "prerr_endline"; "prerr_newline";
-  ]
-
 let rule_capsule_raw_print (n : Dep_graph.node) =
   match cat_of n with
   | Some (Taxonomy.Core | Taxonomy.Capsule)
     when Taxonomy.module_base n.Dep_graph.node_path <> "debug_writer" ->
       List.filter_map
-        (fun (r : Extract.reference) ->
+        (fun (r : Ast_extract.reference) ->
           let flag what =
             Some
-              (v "capsule-raw-print" n.Dep_graph.node_path r.Extract.ref_line
+              (v "capsule-raw-print" n.Dep_graph.node_path r.Ast_extract.ref_line
                  "%s writes to the host console from kernel/capsule code; \
                   route debug output through Debug_writer or the Tock_obs \
                   trace (pragma deliberate cases)"
                  what)
           in
-          match (r.Extract.ref_modules, r.Extract.ref_member) with
-          | [ "Stdlib" ], Some m when List.mem m bare_print_idents -> flag m
+          match (r.Ast_extract.ref_modules, r.Ast_extract.ref_member) with
+          | [ "Stdlib" ], Some m when List.mem m Ast_extract.bare_print_idents
+            ->
+              flag m
           | mods, Some m
             when mods <> []
                  && List.mem (List.nth mods (List.length mods - 1))
@@ -283,21 +279,21 @@ let rule_capsule_raw_print (n : Dep_graph.node) =
               flag
                 (List.nth mods (List.length mods - 1) ^ "." ^ m)
           | _ -> None)
-        n.Dep_graph.node_extract.Extract.refs
+        n.Dep_graph.node_summary.Ast_extract.a_refs
   | _ -> []
 
 (* --- Take_cell discipline --------------------------------------------- *)
 
-let take_cell_ref member (r : Extract.reference) =
-  (match r.Extract.ref_modules with
+let take_cell_ref member (r : Ast_extract.reference) =
+  (match r.Ast_extract.ref_modules with
   | [] -> false
   | mods -> List.nth mods (List.length mods - 1) = "Take_cell")
-  && r.Extract.ref_member = Some member
+  && r.Ast_extract.ref_member = Some member
 
 let rule_take_without_restore (n : Dep_graph.node) =
   if tooling n then []
   else
-    let refs = n.Dep_graph.node_extract.Extract.refs in
+    let refs = n.Dep_graph.node_summary.Ast_extract.a_refs in
     let takes = List.filter (take_cell_ref "take") refs in
     let restores =
       List.exists (take_cell_ref "put") refs
@@ -306,8 +302,8 @@ let rule_take_without_restore (n : Dep_graph.node) =
     if takes = [] || restores then []
     else
       List.map
-        (fun (r : Extract.reference) ->
-          v "take-without-restore" n.Dep_graph.node_path r.Extract.ref_line
+        (fun (r : Ast_extract.reference) ->
+          v "take-without-restore" n.Dep_graph.node_path r.Ast_extract.ref_line
             "Take_cell.take with no put/replace anywhere in this file: the \
              buffer can be lost on every path (use Take_cell.map, or \
              restore explicitly)")
@@ -319,89 +315,36 @@ let rule_take_without_restore (n : Dep_graph.node) =
    prefix: fleet scheduler metrics and per-board kernel metrics meet in
    one merged snapshot (Fleet.fr_metrics), and a bare name registered
    from lib/fleet would collide with — or shadow — a board-side series.
-   Registration is a call like [Metrics.counter reg "fleet.sched.x"];
-   the name literal sits on the same line or, when formatted long, the
-   next one. Content-level scan (the extractor drops string literals),
-   with the usual pragma escape for deliberate exceptions. *)
+   Registration is a [Metrics.counter/gauge/histogram reg "name"]
+   application with a string-constant name, however it is formatted;
+   deliberate exceptions take the usual pragma. *)
+let rule_fleet_metric_namespace (n : Dep_graph.node) =
+  let p = n.Dep_graph.node_path in
+  if not (Taxonomy.starts_with "lib/fleet/" p && Filename.check_suffix p ".ml")
+  then []
+  else
+    List.filter_map
+      (fun (r : Ast_extract.registration) ->
+        let name = r.Ast_extract.reg_name in
+        if Taxonomy.starts_with "fleet." name then None
+        else
+          Some
+            (v "fleet-metric-namespace" p r.Ast_extract.reg_line
+               "fleet code registers metric %S outside the fleet.* \
+                namespace; fleet and per-board series share one merged \
+                snapshot, so bare names collide"
+               name))
+      n.Dep_graph.node_summary.Ast_extract.a_registrations
 
-let registration_calls =
-  [ "Metrics.counter"; "Metrics.gauge"; "Metrics.histogram" ]
+(* --- unparsable files ---------------------------------------------------- *)
 
-let find_from text pos sub =
-  let ls = String.length sub and lt = String.length text in
-  let rec go i =
-    if i + ls > lt then None
-    else if String.sub text i ls = sub then Some i
-    else go (i + 1)
-  in
-  go pos
-
-let string_literal_after line pos =
-  match String.index_from_opt line pos '"' with
-  | None -> None
-  | Some q -> (
-      match String.index_from_opt line (q + 1) '"' with
-      | None -> None
-      | Some e -> Some (String.sub line (q + 1) (e - q - 1)))
-
-let ident_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_' || c = '\''
-
-let rule_fleet_metric_namespace (files : Source.file list) =
-  List.concat_map
-    (fun (f : Source.file) ->
-      if
-        not
-          (Taxonomy.starts_with "lib/fleet/" f.Source.path
-          && f.Source.kind = Source.Ml)
-      then []
-      else
-        let lines = Array.of_list (String.split_on_char '\n' f.Source.content) in
-        let viols = ref [] in
-        Array.iteri
-          (fun i line ->
-            List.iter
-              (fun call ->
-                let rec scan pos =
-                  match find_from line pos call with
-                  | None -> ()
-                  | Some p ->
-                      let after = p + String.length call in
-                      (* skip partial-identifier matches (counter_value) *)
-                      if after < String.length line && ident_char line.[after]
-                      then scan after
-                      else begin
-                        let lit =
-                          match string_literal_after line after with
-                          | Some l -> Some l
-                          | None ->
-                              if i + 1 < Array.length lines then
-                                string_literal_after lines.(i + 1) 0
-                              else None
-                        in
-                        (match lit with
-                        | Some name
-                          when not (Taxonomy.starts_with "fleet." name) ->
-                            viols :=
-                              v "fleet-metric-namespace" f.Source.path (i + 1)
-                                "fleet code registers metric %S outside the \
-                                 fleet.* namespace; fleet and per-board \
-                                 series share one merged snapshot, so bare \
-                                 names collide"
-                                name
-                              :: !viols
-                        | _ -> ());
-                        scan after
-                      end
-                in
-                scan 0)
-              registration_calls)
-          lines;
-        List.rev !viols)
-    files
+let parse_failure (a : Ast_extract.t) =
+  if a.Ast_extract.a_parsed then None
+  else
+    Some
+      (v "check-parse" a.Ast_extract.a_path 1
+         "file does not parse with compiler-libs: it cannot be analyzed, so \
+          its findings are unknown")
 
 (* --- dune-level rules -------------------------------------------------- *)
 
@@ -410,7 +353,7 @@ let rule_fleet_metric_namespace (files : Source.file list) =
    independently. *)
 let stanza_category (d : Dep_graph.dune_stanza) =
   let name =
-    match d.Dep_graph.stanza.Extract.stanza_names with
+    match d.Dep_graph.stanza_names with
     | n :: _ -> n
     | [] -> "x"
   in
@@ -429,10 +372,10 @@ let rule_dune_layering (d : Dep_graph.dune_stanza) =
                 (v "dune-layering" d.Dep_graph.dune_path line
                    "%s stanza depends on %s, outside the layering matrix \
                     for %s code"
-                   d.Dep_graph.stanza.Extract.stanza_kind dep
+                   d.Dep_graph.stanza_kind dep
                    (Taxonomy.category_name cat))
           | _ -> None)
-        d.Dep_graph.stanza.Extract.stanza_libraries
+        d.Dep_graph.stanza_libraries
 
 (* A stanza's source nodes: files in its directory. (No stanza in this
    tree uses a (modules ...) partition except bin/, where both
@@ -460,7 +403,7 @@ let rule_unused_lib_dep (g : Dep_graph.t) (d : Dep_graph.dune_stanza) =
                 stale edges hide the real architecture"
                dep d.Dep_graph.dune_dir)
       | _ -> None)
-    d.Dep_graph.stanza.Extract.stanza_libraries
+    d.Dep_graph.stanza_libraries
 
 (* An otock library referenced in code must be a *declared* (direct)
    dependency: implicit transitive visibility silently widens the
@@ -472,7 +415,7 @@ let rule_undeclared_dep (g : Dep_graph.t) dir =
     List.concat_map
       (fun (d : Dep_graph.dune_stanza) ->
         if d.Dep_graph.dune_dir = dir then
-          List.map fst d.Dep_graph.stanza.Extract.stanza_libraries
+          List.map fst d.Dep_graph.stanza_libraries
         else [])
       g.Dep_graph.stanzas
     @ List.map
@@ -511,11 +454,11 @@ let all_rule_ids =
 let suppress ~pragmas_for violations =
   let matching viol =
     List.find_opt
-      (fun (p : Extract.pragma) ->
-        (p.Extract.pragma_rule = viol.v_rule || p.Extract.pragma_rule = "*")
-        && (p.Extract.pragma_file_level
-           || viol.v_line = p.Extract.pragma_line
-           || viol.v_line = p.Extract.pragma_line + 1))
+      (fun (p : Ast_extract.pragma) ->
+        (p.Ast_extract.pragma_rule = viol.v_rule || p.Ast_extract.pragma_rule = "*")
+        && (p.Ast_extract.pragma_file_level
+           || viol.v_line = p.Ast_extract.pragma_line
+           || viol.v_line = p.Ast_extract.pragma_line + 1))
       (pragmas_for viol.v_file)
   in
   List.partition_map
@@ -531,7 +474,7 @@ let apply_pragmas (g : Dep_graph.t) violations =
       List.find_opt (fun (n : Dep_graph.node) -> n.Dep_graph.node_path = file)
         g.Dep_graph.nodes
     with
-    | Some n -> n.Dep_graph.node_extract.Extract.pragmas
+    | Some n -> n.Dep_graph.node_summary.Ast_extract.a_pragmas
     | None -> []
   in
   suppress ~pragmas_for violations
@@ -545,7 +488,9 @@ let run (files : Source.file list) =
         @ rule_crypto_confinement n @ rule_mint_confinement n
         @ rule_obj_magic n @ rule_warning_suppression n
         @ rule_subslice_escape n @ rule_capsule_byte_copy n
-        @ rule_capsule_raw_print n @ rule_take_without_restore n)
+        @ rule_capsule_raw_print n @ rule_take_without_restore n
+        @ rule_fleet_metric_namespace n
+        @ Option.to_list (parse_failure n.Dep_graph.node_summary))
       g.Dep_graph.nodes
   in
   let per_stanza =
@@ -558,10 +503,7 @@ let run (files : Source.file list) =
       (List.map (fun d -> d.Dep_graph.dune_dir) g.Dep_graph.stanzas)
   in
   let per_dir = List.concat_map (rule_undeclared_dep g) dirs in
-  let all =
-    per_node @ per_stanza @ per_dir @ rule_missing_mli g
-    @ rule_fleet_metric_namespace files
-  in
+  let all = per_node @ per_stanza @ per_dir @ rule_missing_mli g in
   let sorted =
     List.sort
       (fun a b ->

@@ -60,7 +60,8 @@ val shard_entry_files : string list
 
 val check_rule_ids : string list
 (** Rule ids otock-check can emit ([domain-safety], [allow-escape],
-    [check-parse]); disjoint from {!Rules.all_rule_ids}. *)
+    [check-parse]); disjoint from {!Rules.all_rule_ids}. otock-lint
+    reports [check-parse] too, for the same unparsable files. *)
 
 val allowed_lib_deps : category -> string list
 (** Layering matrix: otock libraries a stanza of the given category may

@@ -730,14 +730,14 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   }
 
 let validate cfg =
-  if cfg.boards <= 0 then invalid_arg "Fleet.run: boards <= 0";
-  if cfg.group_size <= 0 then invalid_arg "Fleet.run: group_size <= 0";
-  if cfg.domains <= 0 then invalid_arg "Fleet.run: domains <= 0";
-  if cfg.cycles <= 0 then invalid_arg "Fleet.run: cycles <= 0";
-  if cfg.batch <= 0 then invalid_arg "Fleet.run: batch <= 0";
-  if cfg.park_min_quanta <= 0 then invalid_arg "Fleet.run: park_min_quanta <= 0";
-  if cfg.trace_capacity < 0 then invalid_arg "Fleet.run: trace_capacity < 0";
-  if cfg.trace_boards < 0 then invalid_arg "Fleet.run: trace_boards < 0"
+  if cfg.boards <= 0 then invalid_arg "Fleet.run_fleet: boards <= 0";
+  if cfg.group_size <= 0 then invalid_arg "Fleet.run_fleet: group_size <= 0";
+  if cfg.domains <= 0 then invalid_arg "Fleet.run_fleet: domains <= 0";
+  if cfg.cycles <= 0 then invalid_arg "Fleet.run_fleet: cycles <= 0";
+  if cfg.batch <= 0 then invalid_arg "Fleet.run_fleet: batch <= 0";
+  if cfg.park_min_quanta <= 0 then invalid_arg "Fleet.run_fleet: park_min_quanta <= 0";
+  if cfg.trace_capacity < 0 then invalid_arg "Fleet.run_fleet: trace_capacity < 0";
+  if cfg.trace_boards < 0 then invalid_arg "Fleet.run_fleet: trace_boards < 0"
 
 (* The stock per-cohort health gates: any fault degrades a cohort, two
    or more on one board (or exhausted restarts) fail it; a p99 syscall
@@ -817,7 +817,7 @@ let run_fleet cfg =
     (fun o -> List.iter (fun bs -> merged.(bs.bs_board) <- bs) o.do_stats)
     shards;
   Array.iteri
-    (fun i bs -> if bs.bs_board <> i then failwith "Fleet.run: missing board")
+    (fun i bs -> if bs.bs_board <> i then failwith "Fleet.run_fleet: missing board")
     merged;
   (* Tree-merge the per-domain accumulators in domain order. Every
      combine is an integer sum (see the associativity contract in
@@ -924,24 +924,6 @@ let run_fleet cfg =
     fr_trace_json;
     fr_flights;
   }
-
-let run_sched cfg =
-  let r = run_fleet cfg in
-  (r.fr_stats, r.fr_sched)
-
-let run cfg = (run_fleet cfg).fr_stats
-
-(* The pairwise reference merge over retained packed stats; byte-
-   identical to the streaming [fr_metrics] (and still the right tool
-   once only the stats array is in hand). The packed images came out of
-   packed_of, so the validation merge_packed now runs cannot fail. *)
-let merged_metrics stats =
-  match
-    Tock_obs.Metrics.merge_packed
-      (Array.to_list (Array.map (fun bs -> bs.bs_metrics) stats))
-  with
-  | Ok snap -> snap
-  | Error e -> invalid_arg ("Fleet.merged_metrics: " ^ e)
 
 (* Rebuild the faulted board from the artifact's recipe (fleet seed +
    board index) and thaw the witness into it. The artifact does not

@@ -125,7 +125,9 @@ type fleet_result = {
   fr_metrics : Tock_obs.Metrics.snapshot;
       (** fleet-wide merged board metrics, accumulated {e streaming} as
           each group retires (per-domain accumulators, tree-merged) —
-          byte-identical to [merged_metrics fr_stats] for every domain
+          byte-identical to the pairwise
+          {!Tock_obs.Metrics.merge_packed} of [fr_stats]' packed
+          snapshots (one shared merge kernel) for every domain
           count, batch quantum, and park setting *)
   fr_sched : Tock_obs.Metrics.snapshot;
       (** merged scheduler metrics ([fleet.sched.*]: dispatches, steals,
@@ -151,20 +153,6 @@ val run_fleet : config -> fleet_result
 (** Run the whole fleet; [Invalid_argument] on non-positive config
     fields. [fr_stats] and [fr_metrics] are deterministic given [config]
     minus [domains], [batch], and [park]. *)
-
-val run : config -> board_stats array
-(** [run cfg = (run_fleet cfg).fr_stats]. *)
-
-val run_sched : config -> board_stats array * Tock_obs.Metrics.snapshot
-(** [(r.fr_stats, r.fr_sched)] of {!run_fleet}. *)
-
-val merged_metrics : board_stats array -> Tock_obs.Metrics.snapshot
-(** The pairwise reference merge over the retained packed snapshots.
-    Byte-identical to [fr_metrics] (one shared merge kernel — see the
-    associativity contract in {!Tock_obs.Metrics}); prefer [fr_metrics]
-    when a {!fleet_result} is already in hand. [Invalid_argument] if a
-    packed image fails validation — impossible for stats produced by
-    {!run}. *)
 
 val thaw_artifact :
   Flight.artifact -> (Tock_boards.Board.t, string) result

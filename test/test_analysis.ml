@@ -5,7 +5,7 @@
 
 module Taxonomy = Tock_analysis.Taxonomy
 module Source = Tock_analysis.Source
-module Extract = Tock_analysis.Extract
+module Ast_extract = Tock_analysis.Ast_extract
 module Rules = Tock_analysis.Rules
 module Report = Tock_analysis.Report
 
@@ -50,6 +50,17 @@ let test_layering_breach () =
   Alcotest.(check int) "qualified ref flagged" 1
     (count_rule "capsule-layering" files);
   Alcotest.(check int) "dune dep flagged" 1 (count_rule "dune-layering" files);
+  (* Interfaces are parsed too: a capsule signature naming a chip type
+     is the same breach. *)
+  let leaky_sig =
+    core_fixture
+    @ [
+        file "lib/capsules/port.ml" "let p = ()\n";
+        file "lib/capsules/port.mli" "val p : Tock_hw.Uart.t\n";
+      ]
+  in
+  Alcotest.(check int) "capsule .mli naming Tock_hw.Uart.t flagged" 1
+    (count_rule "capsule-layering" leaky_sig);
   (* The same capsule going through the HIL is clean. *)
   let ok =
     core_fixture
@@ -308,11 +319,25 @@ let test_pragma_allowlist () =
   (match r.Rules.suppressed with
   | [ (_, p) ] ->
       Alcotest.(check string) "justification kept"
-        "timing calibration needs the raw counter" p.Extract.pragma_note
+        "timing calibration needs the raw counter" p.Ast_extract.pragma_note
   | _ -> Alcotest.fail "expected exactly one suppression");
   (* dune deps cannot be pragma'd away *)
   Alcotest.(check int) "dune dep still flagged" 1
-    (List.length (List.filter (( = ) "dune-layering") rules))
+    (List.length (List.filter (( = ) "dune-layering") rules));
+  (* A pragma is anchored at its comment's closing line, so a
+     multi-line justification covers the line after the comment. *)
+  let multi_line =
+    core_fixture
+    @ [
+        file "lib/capsules/calibrated.ml"
+          "(* otock-lint: allow capsule-layering -- timing calibration\n\
+          \   needs the raw counter, which the HIL does not expose *)\n\
+           let f () = Tock_hw.Uart.write ()\n";
+        file "lib/capsules/calibrated.mli" "val f : unit -> unit\n";
+      ]
+  in
+  Alcotest.(check int) "multi-line pragma covers the next line" 0
+    (count_rule "capsule-layering" multi_line)
 
 let test_comment_and_string_blindness () =
   (* References inside comments and strings are not references. *)
@@ -331,17 +356,21 @@ let test_comment_and_string_blindness () =
 let test_scoped_open () =
   (* `let open M in` is expression-scoped: it still resolves the
      references under it, but it is not the file importing M wholesale.
-     Regression: the lexer used to record it as a file-wide open, so a
-     single scoped convenience open tripped the wholesale-open rules. *)
-  let e = Extract.of_ml "let f () =\n  let open Tock in\n  Syscall.yield ()\n" in
-  (match e.Extract.opens with
+     Regression: the hand-written lexer this front end replaced recorded
+     it as a file-wide open, so a single scoped convenience open tripped
+     the wholesale-open rules. *)
+  let opens src =
+    (Ast_extract.of_source ~path:"lib/userland/u.ml" src).Ast_extract.a_opens
+  in
+  (match opens "let f () =\n  let open Tock in\n  Syscall.yield ()\n" with
   | [ o ] ->
-      Alcotest.(check bool) "marked scoped" true o.Extract.open_scoped;
-      Alcotest.(check int) "on its line" 2 o.Extract.open_line
+      Alcotest.(check bool) "marked scoped" true o.Ast_extract.open_scoped;
+      Alcotest.(check int) "on its line" 2 o.Ast_extract.open_line
   | os -> Alcotest.failf "expected one open, got %d" (List.length os));
-  let e2 = Extract.of_ml "open Tock\nlet f () = Syscall.yield ()\n" in
-  (match e2.Extract.opens with
-  | [ o ] -> Alcotest.(check bool) "toplevel is not scoped" false o.Extract.open_scoped
+  (match opens "open Tock\nlet f () = Syscall.yield ()\n" with
+  | [ o ] ->
+      Alcotest.(check bool) "toplevel is not scoped" false
+        o.Ast_extract.open_scoped
   | os -> Alcotest.failf "expected one open, got %d" (List.length os));
   (* through the rules: a scoped open of Tock inside userland code is
      not a wholesale import, a toplevel one still is *)
@@ -361,10 +390,10 @@ let test_scoped_open () =
        (with_open "open Tock\n\nlet f () = Syscall.yield ()\n"))
 
 let test_quoted_string_blindness () =
-  (* Quoted strings are opaque too — including the off-by-one the lexer
-     used to have when the body starts with `}`: the opener's pipe plus
-     that brace looked like the closer, leaking the body into the token
-     stream. *)
+  (* Quoted strings are opaque too — including the off-by-one the
+     hand-written lexer this front end replaced had when the body starts
+     with `}`: the opener's pipe plus that brace looked like the closer,
+     leaking the body into the token stream. *)
   let files =
     core_fixture
     @ [
@@ -502,6 +531,38 @@ let test_fleet_metric_namespace () =
   in
   Alcotest.(check int) "bare names flagged (same + next line)" 2
     (count_rule "fleet-metric-namespace" bad);
+  (* Only real registrations count: the same text in a comment or a
+     string registers nothing. *)
+  let prose =
+    core_fixture
+    @ [
+        file "lib/fleet/prose.ml"
+          "(* Metrics.counter reg \"sched.in_comment\" *)\n\
+           let doc = \"Metrics.gauge reg \\\"sched.in_string\\\"\"\n";
+        file "lib/fleet/prose.mli" "val doc : string\n";
+      ]
+  in
+  Alcotest.(check int) "comments and strings are not registrations" 0
+    (count_rule "fleet-metric-namespace" prose);
+  (* The name may sit any number of lines below the call; the site is
+     the call's line. *)
+  let wrapped =
+    core_fixture
+    @ [
+        file "lib/fleet/wrapped.ml"
+          "let c =\n\
+          \  Tock_obs.Metrics.counter\n\
+          \    reg\n\
+          \    \"sched.late\"\n";
+        file "lib/fleet/wrapped.mli" "val c : int\n";
+      ]
+  in
+  Alcotest.(check (list int)) "name two lines below the call flagged" [ 2 ]
+    (List.filter_map
+       (fun (v : Rules.violation) ->
+         if v.Rules.v_rule = "fleet-metric-namespace" then Some v.Rules.v_line
+         else None)
+       (Rules.run wrapped).Rules.violations);
   let pragmad =
     core_fixture
     @ [
@@ -523,6 +584,26 @@ let test_fleet_metric_namespace () =
   in
   Alcotest.(check int) "non-fleet code not in scope" 0
     (count_rule "fleet-metric-namespace" elsewhere)
+
+let test_unparsable_file () =
+  (* A file compiler-libs rejects is a finding under the rule id
+     otock-check uses, never a file linted as if it named nothing. *)
+  let files =
+    core_fixture
+    @ [
+        file "lib/capsules/broken.ml" "let f () = Tock_hw.Uart.write (\n";
+        file "lib/capsules/broken.mli" "val f : unit ->\n";
+      ]
+  in
+  let r = Rules.run files in
+  Alcotest.(check (list (pair string int)))
+    "both files reported as check-parse at line 1"
+    [ ("lib/capsules/broken.ml", 1); ("lib/capsules/broken.mli", 1) ]
+    (List.map
+       (fun (v : Rules.violation) -> (v.Rules.v_file, v.Rules.v_line))
+       r.Rules.violations);
+  Alcotest.(check (list string)) "under the shared rule id"
+    [ "check-parse"; "check-parse" ] (rules_of files)
 
 let test_taxonomy_shared_with_bench () =
   (* The Fig. 5 split and the lint trusted-set are the same function. *)
@@ -566,6 +647,7 @@ let suite =
       test_live_repo_gate_trips;
     Alcotest.test_case "fleet metric namespace" `Quick
       test_fleet_metric_namespace;
+    Alcotest.test_case "unparsable file reported" `Quick test_unparsable_file;
     Alcotest.test_case "taxonomy shared with fig5" `Quick
       test_taxonomy_shared_with_bench;
   ]

@@ -204,18 +204,17 @@ let test_domain_safety_unreachable () =
 (* --- allow-window escapes --------------------------------------------- *)
 
 let escapes_of src =
-  match Ast_extract.parse ~path:"lib/capsules/t.ml" src with
-  | None -> Alcotest.fail "fixture does not parse"
-  | Some st ->
-      let a = Ast_extract.of_source ~path:"lib/capsules/t.ml" src in
-      let globals =
-        List.map
-          (fun (g : Ast_extract.global) -> g.Ast_extract.g_name)
-          a.Ast_extract.a_globals
-      in
-      List.map
-        (fun (f : Escape.finding) -> f.Escape.f_line)
-        (Escape.analyze ~path:"lib/capsules/t.ml" ~global_names:globals st)
+  let a = Ast_extract.of_source ~path:"lib/capsules/t.ml" src in
+  if not a.Ast_extract.a_parsed then Alcotest.fail "fixture does not parse";
+  let globals =
+    List.map
+      (fun (g : Ast_extract.global) -> g.Ast_extract.g_name)
+      a.Ast_extract.a_globals
+  in
+  List.map
+    (fun (f : Escape.finding) -> f.Escape.f_line)
+    (Escape.analyze ~path:"lib/capsules/t.ml" ~global_names:globals
+       a.Ast_extract.a_structure)
 
 let test_escape_sinks () =
   let lines =

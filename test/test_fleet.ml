@@ -29,24 +29,26 @@ let test_deterministic_across_domains () =
      merged metrics snapshot must be byte-identical at 1, 2 and 4
      domains — work stealing may move groups, never results. *)
   let cfg = small { Fleet.default with boards = 9; group_size = 1 } in
-  let seq = Fleet.run { cfg with domains = 1 } in
-  let mm_seq = Tock_obs.Metrics.render_json (Fleet.merged_metrics seq) in
+  let seq = (Fleet.run_fleet { cfg with domains = 1 }).Fleet.fr_stats in
+  let mm_seq =
+    Tock_obs.Metrics.render_json (Merge_oracle.merged_metrics seq)
+  in
   List.iter
     (fun domains ->
-      let par = Fleet.run { cfg with domains } in
+      let par = (Fleet.run_fleet { cfg with domains }).Fleet.fr_stats in
       check_identical (Printf.sprintf "%d domains" domains) seq par;
       Alcotest.(check string)
         (Printf.sprintf "merged_metrics @ %d domains" domains)
         mm_seq
-        (Tock_obs.Metrics.render_json (Fleet.merged_metrics par)))
+        (Tock_obs.Metrics.render_json (Merge_oracle.merged_metrics par)))
     [ 2; 4 ]
 
 let test_deterministic_radio_groups () =
   (* Radio groups (shared Ether within a group) plus a leftover single
      board, sharded across domains. *)
   let cfg = small { Fleet.default with boards = 7; group_size = 3 } in
-  let seq = Fleet.run { cfg with domains = 1 } in
-  let par = Fleet.run { cfg with domains = 2 } in
+  let seq = (Fleet.run_fleet { cfg with domains = 1 }).Fleet.fr_stats in
+  let par = (Fleet.run_fleet { cfg with domains = 2 }).Fleet.fr_stats in
   check_identical "radio groups" seq par
 
 let test_batch_invariance () =
@@ -54,10 +56,11 @@ let test_batch_invariance () =
      [run_to_deadline] slices; every chopping must reach the same final
      state (this is what lets parked boards skip ahead in O(1)). *)
   let cfg = small { Fleet.default with boards = 6; group_size = 1 } in
-  let coarse = Fleet.run { cfg with batch = cfg.Fleet.cycles } in
+  let run cfg = (Fleet.run_fleet cfg).Fleet.fr_stats in
+  let coarse = run { cfg with batch = cfg.Fleet.cycles } in
   List.iter
     (fun batch ->
-      let chopped = Fleet.run { cfg with batch } in
+      let chopped = run { cfg with batch } in
       check_identical (Printf.sprintf "batch=%d" batch) coarse chopped)
     [ 1_000; 7_777; 50_000 ]
 
@@ -466,7 +469,7 @@ let test_fleet_smoke () =
   let cfg =
     small { Fleet.default with boards = 6; domains = 2; group_size = 1 }
   in
-  let stats, sched = Fleet.run_sched cfg in
+  let { Fleet.fr_stats = stats; fr_sched = sched; _ } = Fleet.run_fleet cfg in
   Array.iter
     (fun (bs : Fleet.board_stats) ->
       Alcotest.(check bool)
@@ -647,7 +650,7 @@ let test_bad_config_rejected () =
     (fun cfg ->
       Alcotest.(check bool) "rejected" true
         (try
-           ignore (Fleet.run cfg);
+           ignore (Fleet.run_fleet cfg);
            false
          with Invalid_argument _ -> true))
     [
