@@ -361,18 +361,14 @@ let of_source ~path content =
     in
     opens := (offset loc, o) :: !opens
   in
-  let value_ref (e : Parsetree.expression) =
+  let value_ref (lid : Longident.t Location.loc) loc =
+    { r_path = flatten lid.Location.txt; r_line = line_of loc }
+  in
+  let witness (e : Parsetree.expression) =
     match e.Parsetree.pexp_desc with
     | Parsetree.Pexp_ident lid ->
-        Some
-          {
-            r_path = flatten lid.Location.txt;
-            r_line = line_of e.Parsetree.pexp_loc;
-          }
-    | _ -> None
-  in
-  let witness e =
-    Option.iter (fun r -> witnesses := r :: !witnesses) (value_ref e)
+        witnesses := value_ref lid e.Parsetree.pexp_loc :: !witnesses
+    | _ -> ()
   in
   (* Module-toplevel binding context. [prefix] is [Some p] while the
      walk is on structure items whose value bindings are module-toplevel
@@ -408,11 +404,11 @@ let of_source ~path content =
     | desc ->
         (match desc with
         | Parsetree.Pexp_ident lid -> (
-            Option.iter (fun r -> current := r :: !current) (value_ref e);
+            current := value_ref lid e.Parsetree.pexp_loc :: !current;
             match lid.Location.txt with
             | Longident.Lident x when List.mem x bare_print_idents ->
-                add_ref
-                  { lid with Location.txt = Longident.Ldot (Longident.Lident "Stdlib", x) }
+                let stdlib = Longident.Ldot (Longident.Lident "Stdlib", x) in
+                add_ref { lid with Location.txt = stdlib }
             | _ -> add_ref lid)
         | Parsetree.Pexp_construct (lid, _)
         | Parsetree.Pexp_field (_, lid)
@@ -427,23 +423,17 @@ let of_source ~path content =
             ({ Parsetree.pexp_desc = Parsetree.Pexp_ident f; _ }, args) -> (
             let path = flatten f.Location.txt in
             if mutator_path path then List.iter (fun (_, a) -> witness a) args;
-            let positional =
-              List.filter (fun (l, _) -> l = Asttypes.Nolabel) args
-            in
-            match (registration_path path, positional) with
-            | ( true,
-                _
-                :: ( _,
-                     {
-                       Parsetree.pexp_desc =
-                         Parsetree.Pexp_constant
-                           (Parsetree.Pconst_string (name, _, _));
-                       _;
-                     } )
-                :: _ ) ->
-                regs :=
-                  { reg_name = name; reg_line = line_of f.Location.loc }
-                  :: !regs
+            (* [Metrics.counter reg "name"]: the name is the second
+               positional argument *)
+            match List.filter (fun (l, _) -> l = Asttypes.Nolabel) args with
+            | _ :: (_, (arg : Parsetree.expression)) :: _
+              when registration_path path -> (
+                match arg.Parsetree.pexp_desc with
+                | Parsetree.Pexp_constant
+                    (Parsetree.Pconst_string (reg_name, _, _)) ->
+                    regs :=
+                      { reg_name; reg_line = line_of f.Location.loc } :: !regs
+                | _ -> ())
             | _ -> ())
         | _ -> ());
         default.Ast_iterator.expr self e
@@ -566,14 +556,13 @@ let of_source ~path content =
     let start = offset loc and stop = loc.Location.loc_end.Lexing.pos_cnum in
     match a.Parsetree.attr_name.Location.txt with
     | "ocaml.doc" | "ocaml.text" -> ()
-    | _ when 0 <= start && start <= stop && stop <= String.length content ->
+    | _ ->
         attrs :=
           {
             attr_text = String.sub content start (stop - start);
             attr_line = line_of loc;
           }
           :: !attrs
-    | _ -> ()
   in
   let it =
     {
