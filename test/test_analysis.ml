@@ -55,12 +55,23 @@ let test_layering_breach () =
   let leaky_sig =
     core_fixture
     @ [
-        file "lib/capsules/port.ml" "let p = ()\n";
-        file "lib/capsules/port.mli" "val p : Tock_hw.Uart.t\n";
+        file "lib/capsules/port.ml" "module Port = struct let p = () end\n";
+        file "lib/capsules/port.mli"
+          "module Port : sig\n  val p : Tock_hw.Uart.t\nend\n";
       ]
   in
   Alcotest.(check int) "capsule .mli naming Tock_hw.Uart.t flagged" 1
     (count_rule "capsule-layering" leaky_sig);
+  (* A punned field names the chip module exactly once. *)
+  let punned =
+    core_fixture
+    @ [
+        file "lib/capsules/pun.ml" "let f port = { Tock_hw.Uart.port }\n";
+        file "lib/capsules/pun.mli" "val f : 'a -> 'b\n";
+      ]
+  in
+  Alcotest.(check int) "punned field flagged once" 1
+    (count_rule "capsule-layering" punned);
   (* The same capsule going through the HIL is clean. *)
   let ok =
     core_fixture
@@ -351,7 +362,20 @@ let test_comment_and_string_blindness () =
       ]
   in
   Alcotest.(check (list string)) "no violations from comments/strings" []
-    (rules_of files)
+    (rules_of files);
+  (* Parser-generated sugar is not written code either: [a.(i)] and
+     [s.[i]] name no Array.get / String.get. *)
+  let idx =
+    Ast_extract.of_source ~path:"lib/capsules/idx.ml"
+      "let f a s = a.(0) + Char.code s.[0]\n"
+  in
+  Alcotest.(check (list (pair (list string) (option string))))
+    "index sugar is not a reference"
+    [ ([ "Char" ], Some "code") ]
+    (List.map
+       (fun (r : Ast_extract.reference) ->
+         (r.Ast_extract.ref_modules, r.Ast_extract.ref_member))
+       idx.Ast_extract.a_refs)
 
 let test_scoped_open () =
   (* `let open M in` is expression-scoped: it still resolves the
