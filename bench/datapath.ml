@@ -5,8 +5,9 @@
 
    - emu read_u32/write_u32 allocate zero minor-heap words per op
      (asserted via Gc.minor_words, both modes);
-   - AES block encrypt >= 3x over the byte-wise reference and SHA-256
-     >= 1.5x over the textbook compression (asserted in full mode);
+   - AES block encrypt >= 3x over the byte-wise reference and the
+     rolled single-shift-rotation SHA-256 compression >= 1.5x over the
+     textbook one (asserted in full mode);
    - the MPU hit path performs no slot scans (asserted via
      Mpu.scan_count, both modes).
 

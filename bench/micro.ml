@@ -1,6 +1,8 @@
 (* Bechamel microbenchmarks: host-time cost of the hot primitives. These
    complement the cycle-accounted experiment harnesses with real
-   wall-clock measurements of the implementation itself. *)
+   wall-clock measurements of the implementation itself. The crypto
+   kernels, CRC, emulated memory access and MPU checks are timed and
+   gated by the `datapath` bench instead, so they are not repeated here. *)
 
 open Bechamel
 open Toolkit
@@ -9,60 +11,6 @@ let sha256_64 =
   let data = Bytes.make 64 'x' in
   Test.make ~name:"sha256/64B" (Staged.stage (fun () ->
       ignore (Tock_crypto.Sha256.digest_bytes data)))
-
-let sha256_4k =
-  let data = Bytes.make 4096 'x' in
-  Test.make ~name:"sha256/4kB" (Staged.stage (fun () ->
-      ignore (Tock_crypto.Sha256.digest_bytes data)))
-
-let sha256_4k_ref =
-  let data = Bytes.make 4096 'x' in
-  Test.make ~name:"sha256/4kB-ref" (Staged.stage (fun () ->
-      ignore (Tock_crypto.Sha256.Reference.digest_bytes data)))
-
-let aes_block =
-  let key = Tock_crypto.Aes128.expand_key (Bytes.make 16 'k') in
-  let block = Bytes.make 16 'p' in
-  Test.make ~name:"aes128/block" (Staged.stage (fun () ->
-      ignore (Tock_crypto.Aes128.encrypt_block key block ~off:0)))
-
-let aes_block_ref =
-  let key = Tock_crypto.Aes128.expand_key (Bytes.make 16 'k') in
-  let block = Bytes.make 16 'p' in
-  Test.make ~name:"aes128/block-ref" (Staged.stage (fun () ->
-      ignore (Tock_crypto.Aes128.Reference.encrypt_block key block ~off:0)))
-
-let crc16_frame =
-  let frame = Bytes.make 111 'f' in
-  Test.make ~name:"crc16/frame" (Staged.stage (fun () ->
-      ignore (Tock_capsules.Net_stack.crc16 frame ~off:0 ~len:111)))
-
-(* The emu/MPU benches borrow Datapath's live app and standalone
-   process: the scalar accessors perform no effects, so they can be
-   driven from outside the app's handler once the handle escapes. Built
-   lazily so the board only boots when `micro` actually runs. *)
-let emu_read_u32 () =
-  let app, addr = Lazy.force Datapath.emu_context in
-  Test.make ~name:"emu/read_u32" (Staged.stage (fun () ->
-      ignore (Tock_userland.Emu.read_u32 app ~addr)))
-
-let emu_write_u32 () =
-  let app, addr = Lazy.force Datapath.emu_context in
-  Test.make ~name:"emu/write_u32" (Staged.stage (fun () ->
-      Tock_userland.Emu.write_u32 app ~addr ~v:0x1234_5678))
-
-let mpu_check_hit () =
-  let p, _, ram_base, _ = Lazy.force Datapath.mpu_context in
-  Test.make ~name:"mpu/check-hit" (Staged.stage (fun () ->
-      ignore (Tock.Process.check_access p ~addr:(ram_base + 128) ~len:4 `Read)))
-
-let mpu_check_miss () =
-  let p, _, ram_base, flash_base = Lazy.force Datapath.mpu_context in
-  let flip = ref false in
-  Test.make ~name:"mpu/check-miss" (Staged.stage (fun () ->
-      flip := not !flip;
-      let addr = if !flip then flash_base + 64 else ram_base + 128 in
-      ignore (Tock.Process.check_access p ~addr ~len:4 `Read)))
 
 let subslice_ops =
   let s = Tock.Subslice.create 4096 in
@@ -123,7 +71,8 @@ let event_queue_deep =
 let allow_window_setup () =
   (* The per-allow cost the zero-copy path moved to syscall time: resolve
      the range against process memory, build the base-bounded window,
-     swap it into the allow table. *)
+     swap it into the allow table. Borrows Datapath's standalone process,
+     built lazily so it only exists when `micro` actually runs. *)
   let p, _, ram_base, _ = Lazy.force Datapath.mpu_context in
   Test.make ~name:"allow/window-setup"
     (Staged.stage (fun () ->
@@ -186,9 +135,7 @@ let kernel_step_idle =
       ignore (Tock.Kernel.step k ~cap)))
 
 let all () =
-  [ sha256_64; sha256_4k; sha256_4k_ref; aes_block; aes_block_ref;
-    crc16_frame; emu_read_u32 (); emu_write_u32 (); mpu_check_hit ();
-    mpu_check_miss (); subslice_ops; ring_buffer_cycle; syscall_codec;
+  [ sha256_64; subslice_ops; ring_buffer_cycle; syscall_codec;
     syscall_ret_in_place; take_cell_map; event_queue_cycle;
     event_queue_deep; allow_window_setup (); uart_tx_batched ();
     uart_tx_bytewise (); kernel_step_idle ]

@@ -114,7 +114,7 @@ let write_trace board path =
 
 (* ---- run ---- *)
 
-let run_cmd chip_name apps scheduler seconds seed strace metrics trace_out =
+let run_cmd chip apps scheduler seconds seed strace metrics trace_out =
   (* A deep trace ring when we are exporting; the default ring is sized
      for the [recent_trace] debugging surface, not a full timeline. *)
   let trace_capacity =
@@ -122,18 +122,16 @@ let run_cmd chip_name apps scheduler seconds seed strace metrics trace_out =
   in
   let sim = Tock_hw.Sim.create ~seed:(Int64.of_int seed) ~trace_capacity () in
   let chip =
-    match chip_name with
-    | "sam4l" -> Tock_hw.Chip.sam4l_like sim
-    | "rv32" -> Tock_hw.Chip.rv32_like sim
-    | other -> failwith ("unknown chip: " ^ other)
+    match chip with
+    | `Sam4l -> Tock_hw.Chip.sam4l_like sim
+    | `Rv32 -> Tock_hw.Chip.rv32_like sim
   in
   let sched =
     match scheduler with
-    | "rr" -> Tock.Scheduler.round_robin ()
-    | "coop" -> Tock.Scheduler.cooperative ()
-    | "priority" -> Tock.Scheduler.priority ()
-    | "mlfq" -> Tock.Scheduler.mlfq ()
-    | other -> failwith ("unknown scheduler: " ^ other)
+    | `Rr -> Tock.Scheduler.round_robin ()
+    | `Coop -> Tock.Scheduler.cooperative ()
+    | `Priority -> Tock.Scheduler.priority ()
+    | `Mlfq -> Tock.Scheduler.mlfq ()
   in
   let config = { (Tock.Kernel.default_config ()) with Tock.Kernel.scheduler = sched } in
   let board = Tock_boards.Board.build ~config chip in
@@ -213,14 +211,6 @@ let signpost_cmd nodes seconds seed =
 let fleet_cmd boards domains group_size cycles batch seed park park_min_quanta
     verify_park quiet metrics health trace_out trace_boards flight_dir
     fault_board =
-  let domains =
-    match domains with
-    | "auto" -> max 1 (Domain.recommended_domain_count ())
-    | s -> (
-        match int_of_string_opt s with
-        | Some d -> d
-        | None -> failwith "fleet: --domains expects a count or 'auto'")
-  in
   let cfg =
     {
       Tock_fleet.Fleet.boards;
@@ -350,14 +340,41 @@ let apps_cmd () =
 
 (* ---- cmdliner plumbing ---- *)
 
+(* Arguments are untrusted input: every bad value must end in a usage
+   error from Cmdliner, never in an exception from the code below. *)
+
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+
+let domain_count =
+  let parse = function
+    | "auto" -> Ok (max 1 (Domain.recommended_domain_count ()))
+    | s -> (
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ ->
+            Error (`Msg (Printf.sprintf "expected a positive count or 'auto', got %S" s)))
+  in
+  Arg.conv ~docv:"D" (parse, Format.pp_print_int)
+
 let chip_arg =
-  Arg.(value & opt string "sam4l" & info [ "chip" ] ~docv:"CHIP" ~doc:"Chip profile: sam4l or rv32.")
+  Arg.(value & opt (enum [ ("sam4l", `Sam4l); ("rv32", `Rv32) ]) `Sam4l
+       & info [ "chip" ] ~docv:"CHIP" ~doc:"Chip profile: sam4l or rv32.")
 
 let apps_arg =
   Arg.(value & opt_all string [ "hello" ] & info [ "app"; "a" ] ~docv:"APP" ~doc:"App to load (repeatable).")
 
 let sched_arg =
-  Arg.(value & opt string "rr" & info [ "scheduler" ] ~docv:"SCHED" ~doc:"rr, coop, priority, or mlfq.")
+  Arg.(value
+       & opt (enum [ ("rr", `Rr); ("coop", `Coop); ("priority", `Priority); ("mlfq", `Mlfq) ]) `Rr
+       & info [ "scheduler" ] ~docv:"SCHED" ~doc:"rr, coop, priority, or mlfq.")
 
 let seconds_arg =
   Arg.(value & opt float 2.0 & info [ "seconds" ] ~docv:"S" ~doc:"Simulated seconds to run.")
@@ -385,24 +402,24 @@ let tamper_arg =
   Arg.(value & flag & info [ "tamper" ] ~doc:"Corrupt the token app image after signing.")
 
 let boards_arg =
-  Arg.(value & opt int 64 & info [ "boards" ] ~docv:"N" ~doc:"Total boards in the fleet.")
+  Arg.(value & opt positive_int 64 & info [ "boards" ] ~docv:"N" ~doc:"Total boards in the fleet.")
 
 let domains_arg =
-  Arg.(value & opt string "1" & info [ "domains" ] ~docv:"D"
+  Arg.(value & opt domain_count 1 & info [ "domains" ] ~docv:"D"
        ~doc:"Worker domains: a count, or 'auto' for the host's \
              recommended domain count (1 = sequential).")
 
 let batch_arg =
-  Arg.(value & opt int 250_000 & info [ "batch" ] ~docv:"B"
+  Arg.(value & opt positive_int 250_000 & info [ "batch" ] ~docv:"B"
        ~doc:"Calendar dispatch quantum in simulated cycles; affects wall \
              time only, never results.")
 
 let group_size_arg =
-  Arg.(value & opt int 1 & info [ "group-size" ] ~docv:"G"
+  Arg.(value & opt positive_int 1 & info [ "group-size" ] ~docv:"G"
        ~doc:"Boards per shared-clock radio group (1 = independent boards).")
 
 let cycles_arg =
-  Arg.(value & opt int 2_000_000 & info [ "cycles" ] ~docv:"C" ~doc:"Cycle budget per group clock.")
+  Arg.(value & opt positive_int 2_000_000 & info [ "cycles" ] ~docv:"C" ~doc:"Cycle budget per group clock.")
 
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Only print the aggregate line.")
@@ -414,7 +431,7 @@ let park_arg =
              results are byte-identical either way.")
 
 let park_min_quanta_arg =
-  Arg.(value & opt int Tock_fleet.Fleet.default.Tock_fleet.Fleet.park_min_quanta
+  Arg.(value & opt positive_int Tock_fleet.Fleet.default.Tock_fleet.Fleet.park_min_quanta
        & info [ "park-min-quanta" ] ~docv:"N"
        ~doc:"Park only boards sleeping through at least N dispatch \
              quanta (batches); shorter gaps are skipped in place.")
@@ -432,7 +449,7 @@ let health_arg =
              outlier boards.")
 
 let trace_boards_arg =
-  Arg.(value & opt int 2 & info [ "trace-boards" ] ~docv:"N"
+  Arg.(value & opt (int_at_least 0) 2 & info [ "trace-boards" ] ~docv:"N"
        ~doc:"With --trace-out: sample the first N boards with full \
              per-board trace rings, exported as extra Perfetto lanes.")
 

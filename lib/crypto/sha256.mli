@@ -27,13 +27,15 @@ val digest_bytes : bytes -> bytes
 val digest_string : string -> bytes
 
 val compress : t -> bytes -> off:int -> unit
-(** Run the (unrolled) compression function over one 64-byte block at
-    [off], updating the chaining state in place. Exposed so the
+(** Run the fast compression function over one 64-byte block at [off],
+    updating the chaining state in place. It is a rolled loop that uses
+    unchecked 32-bit loads, so it first checks that bytes [off] to [off + 63]
+    lie inside the buffer and raises [Invalid_argument] otherwise. Exposed so the
     [datapath] bench and the equivalence tests can drive the gated
     primitive directly; normal callers use {!feed}/{!finalize}. *)
 
 (** One-shot digests over the byte-wise textbook compression function —
-    the oracle the unrolled fast path is property-tested against, and the
+    the oracle the fast path is property-tested against, and the
     baseline its speedup is measured from. *)
 module Reference : sig
   val digest_bytes : bytes -> bytes

@@ -41,9 +41,10 @@ let sha_streaming_prop =
       Bytes.equal (Sha256.finalize t) (Sha256.digest_bytes data))
 
 (* The byte-wise reference kernels are retained as oracles for the
-   table-driven/unrolled fast paths. Pin the oracle itself to the FIPS
-   vectors, then property-test fast == reference so a table or schedule
-   bug cannot hide behind "both changed together". *)
+   table-driven AES and the single-shift-rotation SHA-256 fast paths.
+   Pin the oracle itself to the FIPS vectors, then property-test
+   fast == reference so a table or schedule bug cannot hide behind
+   "both changed together". *)
 
 let test_sha_reference_vectors () =
   Alcotest.(check string)
@@ -66,17 +67,35 @@ let sha_reference_equiv_prop =
 let sha_compress_equiv_prop =
   (* Drive the gated primitive directly: chain several compressions from
      the same starting state through both kernels, then observe the
-     chaining state via finalize. Exercises non-zero offsets too. *)
-  qcheck "sha256: unrolled compress == Reference.compress per block"
-    QCheck2.Gen.(string_size (return 256))
-    (fun s ->
-      let blk = Bytes.of_string s in
+     chaining state via finalize. The blocks start at a random offset
+     into a padded buffer, so the fast path's unchecked 32-bit loads are
+     exercised at unaligned addresses too. *)
+  qcheck "sha256: fast compress == Reference.compress per block"
+    QCheck2.Gen.(pair (string_size (return 256)) (int_range 0 63))
+    (fun (s, base) ->
+      let blk = Bytes.make (base + 256 + 63) '\xa5' in
+      Bytes.blit_string s 0 blk base 256;
       let t1 = Sha256.init () and t2 = Sha256.init () in
       for i = 0 to 3 do
-        Sha256.compress t1 blk ~off:(i * 64);
-        Sha256.Reference.compress t2 blk ~off:(i * 64)
+        Sha256.compress t1 blk ~off:(base + (i * 64));
+        Sha256.Reference.compress t2 blk ~off:(base + (i * 64))
       done;
       Bytes.equal (Sha256.finalize t1) (Sha256.finalize t2))
+
+(* The entry bounds check is all that guards the fast path's unchecked
+   loads, so pin it at both edges. *)
+let test_sha_compress_bounds () =
+  let blk = Bytes.make 100 'x' in
+  let len = Bytes.length blk in
+  let t = Sha256.init () in
+  List.iter
+    (fun off ->
+      Alcotest.check_raises
+        (Printf.sprintf "off %d" off)
+        (Invalid_argument "Sha256.compress")
+        (fun () -> Sha256.compress t blk ~off))
+    [ -1; len - 63 ];
+  Sha256.compress t blk ~off:(len - 64)
 
 let test_hmac_vectors () =
   (* RFC 4231 test case 1 *)
@@ -244,6 +263,7 @@ let suite =
     sha_streaming_prop;
     sha_reference_equiv_prop;
     sha_compress_equiv_prop;
+    Alcotest.test_case "sha256 compress bounds" `Quick test_sha_compress_bounds;
     Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
     Alcotest.test_case "hmac verify" `Quick test_hmac_verify;
     Alcotest.test_case "aes fips vector" `Quick test_aes_vector;
