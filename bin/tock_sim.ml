@@ -356,11 +356,7 @@ let positive_int = int_at_least 1
 let domain_count =
   let parse = function
     | "auto" -> Ok (max 1 (Domain.recommended_domain_count ()))
-    | s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> Ok n
-        | _ ->
-            Error (`Msg (Printf.sprintf "expected a positive count or 'auto', got %S" s)))
+    | s -> Arg.conv_parser positive_int s
   in
   Arg.conv ~docv:"D" (parse, Format.pp_print_int)
 
