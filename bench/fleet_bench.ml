@@ -95,9 +95,9 @@ let measure ?(park = false) ?batch ?park_min_quanta ~boards ~domains ~cycles ()
     (Tock_fleet.Fleet.run_fleet
        { cfg with boards = min boards 4; cycles = 10_000 });
   let base = live_words () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timing.now_ns () in
   let result = Tock_fleet.Fleet.run_fleet cfg in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = float_of_int (Timing.now_ns () - t0) /. 1e9 in
   let stats = result.Tock_fleet.Fleet.fr_stats in
   let sched = result.Tock_fleet.Fleet.fr_sched in
   (* [stats] is consumed below, so it is live across this probe. *)
@@ -133,16 +133,22 @@ let print_sample s =
       "          parks %d  resumes %d  resume_cycles %d  witness_bytes %d\n%!"
       s.s_parks s.s_resumes s.s_resume_cycles s.s_witness_bytes
 
-let json_of_sample s =
-  Printf.sprintf
-    "    {\"boards\": %d, \"domains\": %d, \"park\": %b, \"cycles\": %d, \
-     \"agg_cycles\": %d, \
-     \"syscalls\": %d, \"wall_s\": %.4f, \"cycles_per_s\": %.4e, \
-     \"bytes_per_board\": %d, \"parks\": %d, \"resumes\": %d, \
-     \"resume_cycles\": %d, \"witness_bytes\": %d}"
-    s.s_boards s.s_domains s.s_park s.s_budget s.s_cycles s.s_syscalls s.s_wall
-    (throughput s) s.s_bytes_per_board s.s_parks s.s_resumes
-    s.s_resume_cycles s.s_witness_bytes
+let json_of_sample s : (string * Timing.json) list =
+  [
+    ("boards", Int s.s_boards);
+    ("domains", Int s.s_domains);
+    ("park", Bool s.s_park);
+    ("cycles", Int s.s_budget);
+    ("agg_cycles", Int s.s_cycles);
+    ("syscalls", Int s.s_syscalls);
+    ("wall_s", Float s.s_wall);
+    ("cycles_per_s", Float (throughput s));
+    ("bytes_per_board", Int s.s_bytes_per_board);
+    ("parks", Int s.s_parks);
+    ("resumes", Int s.s_resumes);
+    ("resume_cycles", Int s.s_resume_cycles);
+    ("witness_bytes", Int s.s_witness_bytes);
+  ]
 
 let run () =
   print_endline
@@ -198,18 +204,17 @@ let run () =
   in
   print_sample big;
   let samples = sweep @ domains_sweep @ [ big ] in
-  let oc = open_out "BENCH_fleet.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"fleet_scaling\",\n  \"cycles_per_group\": %d,\n  \
-     \"batch\": %d,\n  \"cores\": %d,\n  \"gate_cycles_per_s\": %.4e,\n  \
-     \"gate_cycles_per_s_10k\": %.4e,\n  \"gate_cycles_per_s_100k_park\": %.4e,\n  \
-     \"gate_bytes_per_board\": %d,\n  \
-     \"samples\": [\n%s\n  ]\n}\n"
-    cycles Tock_fleet.Fleet.default.batch n_cores gate_floor gate_floor_10k
-    gate_floor_100k gate_bytes_per_board
-    (String.concat ",\n" (List.map json_of_sample samples));
-  close_out oc;
-  print_endline "   wrote BENCH_fleet.json";
+  Timing.write_json "fleet"
+    [
+      ("cycles_per_group", Int cycles);
+      ("batch", Int Tock_fleet.Fleet.default.batch);
+      ("cores", Int n_cores);
+      ("gate_cycles_per_s", Float gate_floor);
+      ("gate_cycles_per_s_10k", Float gate_floor_10k);
+      ("gate_cycles_per_s_100k_park", Float gate_floor_100k);
+      ("gate_bytes_per_board", Int gate_bytes_per_board);
+    ]
+    (List.map json_of_sample samples);
   (* Acceptance gates: >= 10x the seed artifact on its reference
      sample; the 10k sample holds packed-stats throughput; the 100k
      park sample holds freeze/thaw throughput, actually exercises the
@@ -220,7 +225,7 @@ let run () =
   let s10k =
     List.find (fun s -> s.s_boards = 10_000 && s.s_domains = 1) sweep
   in
-  let gates =
+  Timing.report "fleet"
     [
       ( "1024-board throughput",
         throughput ref_sample >= gate_floor,
@@ -243,18 +248,3 @@ let run () =
         Printf.sprintf "100k boards [park] = %d bytes/board (ceiling %d)"
           big.s_bytes_per_board gate_bytes_per_board );
     ]
-  in
-  List.iter
-    (fun (_, ok, detail) ->
-      Printf.printf "   gate: %s: %s\n%!" detail (if ok then "PASS" else "FAIL"))
-    gates;
-  let failed = List.filter (fun (_, ok, _) -> not ok) gates in
-  Printf.printf "   fleet gates: %d/%d passed%s\n%!"
-    (List.length gates - List.length failed)
-    (List.length gates)
-    (match failed with
-    | [] -> " — PASS"
-    | fs ->
-        " — FAIL: " ^ String.concat ", " (List.map (fun (n, _, _) -> n) fs));
-  if failed <> [] then exit 1;
-  print_newline ()

@@ -1,15 +1,17 @@
 (* Zero-copy I/O path benchmark: drives the allow-window data plane end
    to end — console writes through the UART mux, net transmit through the
    radio's scatter-gather path, and KV puts/gets through the flash iovec
-   path — and writes BENCH_iopath.json for the acceptance gate:
+   path — and writes BENCH_iopath.json:
 
    - a console write performs ZERO data-plane copies between the syscall
-     and the hardware (asserted via the Subslice and Emu copy counters,
-     both modes);
+     and the hardware (Subslice and Emu copy counters, both modes);
    - the net transmit fast path performs ZERO data-plane copies from
-     [send] to the radio latch (asserted, both modes);
-   - the in-place net round trip sustains >= 2x the throughput of the
-     retained copying [Net_stack.Reference] path (asserted in full mode).
+     [send] to the radio latch (both modes);
+   - the in-place net round trip agrees byte for byte with the retained
+     copying [Net_stack.Reference] path (both modes) and sustains >= 2x
+     its throughput (full mode; the two are timed in alternation).
+
+   Gates are reported through [Timing.report].
 
    Run: dune exec bench/main.exe -- iopath
    The `iopath-smoke` variant runs tiny iteration counts under
@@ -23,29 +25,6 @@ module Libtock_sync = Tock_userland.Libtock_sync
 module Net = Tock_capsules.Net_stack
 module Kv = Tock_capsules.Kv_store
 module Signpost = Tock_boards.Signpost_board
-
-(* Min-of-reps host timing, as in the datapath bench. *)
-let time_ns f n =
-  for _ = 1 to min n 100 do
-    f ()
-  done;
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    let t1 = Unix.gettimeofday () in
-    let ns = (t1 -. t0) *. 1e9 /. float_of_int n in
-    if ns < !best then best := ns
-  done;
-  !best
-
-type sample = { s_name : string; s_ns : float; s_iters : int }
-
-let json_of_sample s =
-  Printf.sprintf "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"iters\": %d}"
-    s.s_name s.s_ns s.s_iters
 
 (* ---- console write: syscall -> allow window -> UART, no staging ---- *)
 
@@ -74,16 +53,14 @@ let console_app ~iters app =
   in
   write ();
   let max_sub = ref 0 and max_emu = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    let s0 = Subslice.copy_count () and e0 = Emu.copy_count () in
-    write ();
-    max_sub := max !max_sub (Subslice.copy_count () - s0);
-    max_emu := max !max_emu (Emu.copy_count () - e0)
-  done;
-  let t1 = Unix.gettimeofday () in
-  console_results :=
-    Some (!max_sub, !max_emu, (t1 -. t0) *. 1e9 /. float_of_int iters);
+  let sample =
+    Timing.per_op "console/write-32B" iters (fun () ->
+        let s0 = Subslice.copy_count () and e0 = Emu.copy_count () in
+        write ();
+        max_sub := max !max_sub (Subslice.copy_count () - s0);
+        max_emu := max !max_emu (Emu.copy_count () - e0))
+  in
+  console_results := Some (!max_sub, !max_emu, sample);
   Libtock.exit app 0
 
 let bench_console ~iters =
@@ -120,14 +97,13 @@ let bench_net_tx ~iters =
   (* warmup: boot-time debug output may still be draining *)
   send_one ();
   let max_delta = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    let s0 = Subslice.copy_count () in
-    send_one ();
-    max_delta := max !max_delta (Subslice.copy_count () - s0)
-  done;
-  let t1 = Unix.gettimeofday () in
-  (!max_delta, (t1 -. t0) *. 1e9 /. float_of_int iters)
+  let sample =
+    Timing.per_op "net/tx-64B-broadcast" iters (fun () ->
+        let s0 = Subslice.copy_count () in
+        send_one ();
+        max_delta := max !max_delta (Subslice.copy_count () - s0))
+  in
+  (!max_delta, sample)
 
 (* ---- kv store: scatter-gather put, windowed get ---- *)
 
@@ -166,49 +142,18 @@ let bench_kv ~iters =
     | Error e -> failwith ("iopath: kv get: " ^ Error.to_string e)
   in
   put ();
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    put ()
-  done;
-  let t1 = Unix.gettimeofday () in
-  let put_ns = (t1 -. t0) *. 1e9 /. float_of_int iters in
+  let put_sample = Timing.per_op "kv/put-64B" iters put in
   let s0 = Subslice.copy_count () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    get ()
-  done;
-  let t1 = Unix.gettimeofday () in
-  let get_ns = (t1 -. t0) *. 1e9 /. float_of_int iters in
-  let get_copy_delta = Subslice.copy_count () - s0 in
-  (put_ns, get_ns, get_copy_delta)
+  let get_sample = Timing.per_op "kv/get-64B" iters get in
+  (put_sample, get_sample, Subslice.copy_count () - s0)
 
 (* ---- driver ---- *)
 
 let run_mode ~scale ~assert_ratios ~write () =
   Printf.printf "== iopath: zero-copy allow I/O path (scale %.3f) ==\n" scale;
   let it base = max 2 (int_of_float (float_of_int base *. scale)) in
-  let samples = ref [] in
-  let note name ns iters =
-    samples := { s_name = name; s_ns = ns; s_iters = iters } :: !samples;
-    Printf.printf "   %-28s %12.1f ns/op\n%!" name ns
-  in
-
-  (* -- console write through the UART mux -- *)
-  let n = it 2_000 in
-  let con_sub, con_emu, con_ns = bench_console ~iters:n in
-  note "console/write-32B" con_ns n;
-  Printf.printf "   console copies per write: subslice %d, emu %d\n" con_sub
-    con_emu;
-  if con_sub > 0 || con_emu > 0 then
-    failwith "iopath: console write copied on the data plane";
-
-  (* -- net transmit fast path -- *)
-  let n = it 2_000 in
-  let net_copies, net_tx_ns = bench_net_tx ~iters:n in
-  note "net/tx-64B-broadcast" net_tx_ns n;
-  Printf.printf "   net tx copies per send: subslice %d\n" net_copies;
-  if net_copies > 0 then
-    failwith "iopath: net transmit copied on the fast path";
+  let con_sub, con_emu, console = bench_console ~iters:(it 200) in
+  let net_copies, net_tx = bench_net_tx ~iters:(it 200) in
 
   (* -- net round trip: in-place vs the copying reference -- *)
   let payload = Bytes.init Net.max_payload (fun i -> Char.chr (i land 0xff)) in
@@ -216,54 +161,63 @@ let run_mode ~scale ~assert_ratios ~write () =
   let out_ref = Bytes.create Net.max_payload in
   let payload_w = Subslice.of_bytes payload in
   let out_w = Subslice.of_bytes out_fast in
-  let n_fast = it 500_000 and n_ref = it 100_000 in
-  let fast_ns =
-    time_ns
-      (fun () ->
-        if Net.round_trip ~src:1 ~dst:2 payload_w out_w <> Net.max_payload
-        then failwith "iopath: fast round trip failed")
-      n_fast
+  let rt_fast, rt_ref =
+    Timing.pair
+      ( "net/round-trip-fast",
+        it 50_000,
+        fun () ->
+          if Net.round_trip ~src:1 ~dst:2 payload_w out_w <> Net.max_payload
+          then failwith "iopath: fast round trip failed" )
+      ( "net/round-trip-ref",
+        it 10_000,
+        fun () ->
+          if
+            Net.Reference.round_trip ~src:1 ~dst:2 payload out_ref
+            <> Net.max_payload
+          then failwith "iopath: reference round trip failed" )
   in
-  let ref_ns =
-    time_ns
-      (fun () ->
-        if
-          Net.Reference.round_trip ~src:1 ~dst:2 payload out_ref
-          <> Net.max_payload
-        then failwith "iopath: reference round trip failed")
-      n_ref
-  in
-  note "net/round-trip-fast" fast_ns n_fast;
-  note "net/round-trip-ref" ref_ns n_ref;
-  let speedup = ref_ns /. fast_ns in
-  Printf.printf "   net round-trip speedup: %.2fx (gate >= 2x)\n" speedup;
-  if not (Bytes.equal out_fast out_ref) then
-    failwith "iopath: fast and reference round trips disagree";
-  if assert_ratios && speedup < 2.0 then
-    failwith "iopath: net round-trip speedup below 2x gate";
+  let speedup = rt_ref.Timing.ns_per_op /. rt_fast.Timing.ns_per_op in
 
   (* -- kv put/get over the flash iovec path -- *)
-  let n = it 300 in
-  let put_ns, get_ns, kv_get_copies = bench_kv ~iters:n in
-  note "kv/put-64B" put_ns n;
-  note "kv/get-64B" get_ns n;
-  Printf.printf "   kv get copies per op: subslice %d\n" kv_get_copies;
+  let kv_put, kv_get, kv_get_copies = bench_kv ~iters:(it 30) in
+  Printf.printf "   kv get copies: subslice %d over %d gets\n" kv_get_copies
+    kv_get.Timing.ops;
 
-  if write then begin
-    let oc = open_out "BENCH_iopath.json" in
-    Printf.fprintf oc
-      "{\n  \"bench\": \"iopath\",\n  \
-       \"console_write_subslice_copies\": %d,\n  \
-       \"console_write_emu_copies\": %d,\n  \
-       \"net_tx_subslice_copies\": %d,\n  \
-       \"net_roundtrip_speedup\": %.2f,\n  \
-       \"kv_get_subslice_copies\": %d,\n  \"samples\": [\n%s\n  ]\n}\n"
-      con_sub con_emu net_copies speedup kv_get_copies
-      (String.concat ",\n" (List.rev_map json_of_sample !samples));
-    close_out oc;
-    print_endline "   wrote BENCH_iopath.json"
-  end;
-  print_newline ()
+  if write then
+    Timing.write_json "iopath"
+      [
+        ("console_write_subslice_copies", Int con_sub);
+        ("console_write_emu_copies", Int con_emu);
+        ("net_tx_subslice_copies", Int net_copies);
+        ("net_roundtrip_speedup", Float speedup);
+        ("kv_get_subslice_copies", Int kv_get_copies);
+      ]
+      (List.map Timing.sample_fields
+         [ console; net_tx; rt_fast; rt_ref; kv_put; kv_get ]);
+  Timing.report "iopath"
+    ([
+       ( "console zero-copy",
+         con_sub = 0 && con_emu = 0,
+         Printf.sprintf
+           "console write = %d subslice / %d emu copies per write (ceiling 0)"
+           con_sub con_emu );
+       ( "net tx zero-copy",
+         net_copies = 0,
+         Printf.sprintf "net tx = %d subslice copies per send (ceiling 0)"
+           net_copies );
+       ( "net round trip agrees",
+         Bytes.equal out_fast out_ref,
+         "net round trip fast output = reference output" );
+     ]
+    @
+    if assert_ratios then
+      [
+        ( "net round-trip speedup",
+          speedup >= 2.0,
+          Printf.sprintf "net round trip = %.2fx the reference (floor 2x)"
+            speedup );
+      ]
+    else [])
 
 let run () = run_mode ~scale:1.0 ~assert_ratios:true ~write:true ()
 

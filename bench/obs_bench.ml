@@ -1,26 +1,21 @@
 (* Observability overhead benchmark: proves the instrumentation layer is
    free when off and cheap when on, and captures a reference latency
-   profile from a real board run. Writes BENCH_obs.json for the
-   acceptance gate:
+   profile from a real board run. Writes BENCH_obs.json; gates are
+   reported through [Timing.report]:
 
    - the instrumented Sim hot loop (tracing disabled) stays within 3% of
      a seed-replica loop that carries no observability state at all
-     (asserted in full mode);
+     (full mode);
    - counter/histogram/trace-emit primitive costs are sampled so a
      regression in the record path is visible in the JSON history;
    - the disabled-mode Trace.emit is truly free: zero minor-heap words
-     per call (asserted in every mode), and in full mode both under a
-     4.50 ns/op backstop and under 0.60x the enabled record cost;
+     per call (every mode), and in full mode both under a 4.50 ns/op
+     backstop and under 0.60x the enabled record cost;
    - a 10k-board fleet with health rollups on keeps >= 90% of the
      no-rollup throughput (full mode; smoke folds a tiny fleet);
    - a board workload's syscall-class and IRQ dispatch latency
-     histograms are summarised (p50/p99) as the reference profile.
-
-   Layout note: the spend gate compares two nominally identical hot
-   loops, so it is sensitive to code placement in this file — new
-   measurement code belongs BELOW bench_board, leaving time_ns /
-   bench_spend / bench_primitives byte-identical and at the same object
-   offsets as the seed revision.
+     histograms are summarised (p50/p99) as the reference profile, and
+     must be non-empty (every mode).
 
    Run: dune exec bench/main.exe -- obs
    The `obs-smoke` variant runs tiny iteration counts under
@@ -29,29 +24,6 @@
 
 module Metrics = Tock_obs.Metrics
 module Trace = Tock_obs.Trace
-
-(* Min-of-reps host timing, as in the iopath bench. *)
-let time_ns f n =
-  for _ = 1 to min n 100 do
-    f ()
-  done;
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    let t1 = Unix.gettimeofday () in
-    let ns = (t1 -. t0) *. 1e9 /. float_of_int n in
-    if ns < !best then best := ns
-  done;
-  !best
-
-type sample = { s_name : string; s_ns : float; s_iters : int }
-
-let json_of_sample s =
-  Printf.sprintf "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"iters\": %d}"
-    s.s_name s.s_ns s.s_iters
 
 (* ---- disabled-mode overhead: instrumented Sim vs a seed replica ---- *)
 
@@ -65,55 +37,50 @@ let json_of_sample s =
    occasionally-fires pattern the kernel main loop produces. The two
    sides are timed in alternation and each keeps its best rep, so
    one-sided scheduler noise cannot manufacture (or hide) an overhead. *)
-let bench_spend ~iters ~alternations =
+let bench_spend ~iters =
   let seed = Bench_seed_sim.create ~trace_capacity:1024 () in
   let rec seed_tick () = Bench_seed_sim.at seed ~delay:100 seed_tick in
   Bench_seed_sim.at seed ~delay:100 seed_tick;
   let sim = Tock_hw.Sim.create ~trace_capacity:0 () in
   let rec tick () = ignore (Tock_hw.Sim.at sim ~delay:100 tick) in
   ignore (Tock_hw.Sim.at sim ~delay:100 tick);
-  let best_seed = ref infinity and best_real = ref infinity in
-  for _ = 1 to alternations do
-    let r = time_ns (fun () -> Tock_hw.Sim.spend sim 7) iters in
-    if r < !best_real then best_real := r;
-    let s = time_ns (fun () -> Bench_seed_sim.spend seed 7) iters in
-    if s < !best_seed then best_seed := s
-  done;
-  (!best_seed, !best_real)
+  Timing.pair
+    ("spend/instrumented-sim", iters, fun () -> Tock_hw.Sim.spend sim 7)
+    ("spend/seed-replica", iters, fun () -> Bench_seed_sim.spend seed 7)
 
 (* ---- enabled-mode primitive costs ---- *)
 
-let bench_primitives ~iters note =
+let bench_primitives ~iters =
   let reg = Metrics.create () in
   let c = Metrics.counter reg "bench.counter" in
   let h = Metrics.histogram reg "bench.hist" in
-  note "metrics/counter-incr" (time_ns (fun () -> Metrics.incr c) iters) iters;
+  let counter =
+    Timing.per_op "metrics/counter-incr" iters (fun () -> Metrics.incr c)
+  in
   let v = ref 1 in
-  note "metrics/histogram-observe"
-    (time_ns
-       (fun () ->
-         Metrics.observe h !v;
-         v := (!v * 5) land 0xFFFF)
-       iters)
-    iters;
+  let hist =
+    Timing.per_op "metrics/histogram-observe" iters (fun () ->
+        Metrics.observe h !v;
+        v := (!v * 5) land 0xFFFF)
+  in
   let on = Trace.create ~capacity:4096 in
   let off = Trace.create ~capacity:0 in
   let ts = ref 0 in
-  note "trace/emit-enabled"
-    (time_ns
-       (fun () ->
-         incr ts;
-         Trace.emit on ~ts:!ts ~tid:1 Trace.Syscall Trace.Instant ~arg:2
-           ~text:"")
-       iters)
-    iters;
-  note "trace/emit-disabled"
-    (time_ns
-       (fun () ->
-         Trace.emit off ~ts:0 ~tid:1 Trace.Syscall Trace.Instant ~arg:2
-           ~text:"")
-       iters)
-    iters
+  let emit_off, emit_on =
+    Timing.pair
+      ( "trace/emit-disabled",
+        iters,
+        fun () ->
+          Trace.emit off ~ts:0 ~tid:1 Trace.Syscall Trace.Instant ~arg:2
+            ~text:"" )
+      ( "trace/emit-enabled",
+        iters,
+        fun () ->
+          incr ts;
+          Trace.emit on ~ts:!ts ~tid:1 Trace.Syscall Trace.Instant ~arg:2
+            ~text:"" )
+  in
+  (counter, hist, emit_off, emit_on)
 
 (* ---- board workload: reference latency profile ---- *)
 
@@ -147,26 +114,8 @@ let bench_board ~seconds =
   in
   let sys = find_hist snap "kernel.syscall_cycles.command" in
   let irq = find_hist snap "irq.dispatch_cycles" in
-  if sys.Metrics.hs_count = 0 then failwith "obs: board made no command calls";
-  if irq.Metrics.hs_count = 0 then failwith "obs: board serviced no IRQs";
   let tr = Tock_hw.Sim.trace_events sim in
   (sys, irq, Trace.total tr, Trace.dropped tr)
-
-(* ---- disabled-mode Trace.emit: truly free ---- *)
-
-(* The disabled emit must be a single capacity load and branch: zero
-   words allocated across any number of calls. Host-independent, so it
-   is asserted in smoke mode too. *)
-let assert_emit_disabled_allocfree () =
-  let off = Trace.create ~capacity:0 in
-  let before = Gc.minor_words () in
-  for i = 1 to 100_000 do
-    Trace.emit off ~ts:i ~tid:1 Trace.Syscall Trace.Instant ~arg:2 ~text:""
-  done;
-  let words = Gc.minor_words () -. before in
-  Printf.printf "   emit-disabled allocation: %.0f words / 100k calls\n" words;
-  if words > 0.0 then
-    failwith "obs: disabled Trace.emit allocated on the minor heap"
 
 (* ---- fleet health rollups: throughput tax of folding every retiring
    board's packed metrics into cross-board distributions ---- *)
@@ -182,83 +131,27 @@ let bench_rollup ~boards =
       park = true;
     }
   in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to 2 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let plain_s = time (fun () -> ignore (Tock_fleet.Fleet.run_fleet cfg)) in
-  let health_s =
-    time (fun () ->
-        ignore
-          (Tock_fleet.Fleet.run_fleet
-             { cfg with Tock_fleet.Fleet.health = true }))
-  in
-  (* boards/s with rollups relative to boards/s without *)
-  (plain_s, health_s, plain_s /. health_s)
+  let run cfg () = ignore (Tock_fleet.Fleet.run_fleet cfg) in
+  Timing.pair ~reps:4
+    ("rollup/fleet-plain", 1, run cfg)
+    ("rollup/fleet-health", 1, run { cfg with Tock_fleet.Fleet.health = true })
 
 (* ---- driver ---- *)
 
 let run_mode ~scale ~assert_ratios ~write () =
   Printf.printf "== obs: observability overhead (scale %.3f) ==\n" scale;
   let it base = max 2 (int_of_float (float_of_int base *. scale)) in
-  let samples = ref [] in
-  let note name ns iters =
-    samples := { s_name = name; s_ns = ns; s_iters = iters } :: !samples;
-    Printf.printf "   %-28s %12.1f ns/op\n%!" name ns
+  let real, replica = bench_spend ~iters:(it 200_000) in
+  let ratio = real.Timing.ns_per_op /. replica.Timing.ns_per_op in
+  let counter, hist, emit_off, emit_on =
+    bench_primitives ~iters:(it 200_000)
   in
-
-  (* -- spend hot loop: instrumented Sim vs seed replica -- *)
-  let n = it 2_000_000 in
-  let replica_ns, real_ns = bench_spend ~iters:n ~alternations:4 in
-  note "spend/seed-replica" replica_ns n;
-  note "spend/instrumented-sim" real_ns n;
-  let ratio = real_ns /. replica_ns in
-  Printf.printf "   disabled-mode spend overhead: %.3fx (gate <= 1.03x)\n"
-    ratio;
-  if assert_ratios && ratio > 1.03 then
-    failwith "obs: disabled-mode Sim.spend overhead above the 3% gate";
-
-  (* -- record-path primitive costs -- *)
-  bench_primitives ~iters:(it 2_000_000) note;
-
-  (* -- disabled-mode emit: allocation-free, and gated -- *)
-  assert_emit_disabled_allocfree ();
-  let sample name =
-    match List.find_opt (fun s -> s.s_name = name) !samples with
-    | Some s -> s.s_ns
-    | None -> failwith ("obs: missing sample " ^ name)
-  in
-  let emit_disabled_ns = sample "trace/emit-disabled" in
-  let emit_enabled_ns = sample "trace/emit-enabled" in
-  let emit_ratio = emit_disabled_ns /. emit_enabled_ns in
-  (* Two gates: a relative one (the disabled call must cost well under
-     the enabled record path — that is what "truly free" means and it
-     cancels host-speed drift on this single-core VM), and an absolute
-     backstop vs the 3.66 ns/op seed measurement, set with headroom for
-     the ~25% run-to-run frequency jitter the host shows. *)
-  Printf.printf
-    "   emit-disabled: %.2f ns/op, %.2fx enabled (gates <= 4.50 ns, <= 0.60x)\n"
-    emit_disabled_ns emit_ratio;
-  if assert_ratios && emit_disabled_ns > 4.50 then
-    failwith "obs: disabled Trace.emit above the 4.50 ns/op backstop";
-  if assert_ratios && emit_ratio > 0.60 then
-    failwith "obs: disabled Trace.emit not well under the enabled cost";
-
-  (* -- fleet health rollups: >= 90% of no-rollup throughput -- *)
+  let emit_off_ns = emit_off.Timing.ns_per_op in
+  let emit_ratio = emit_off_ns /. emit_on.Timing.ns_per_op in
   let rollup_boards = max 100 (int_of_float (10_000.0 *. scale)) in
-  let plain_s, health_s, rollup_ratio = bench_rollup ~boards:rollup_boards in
-  Printf.printf
-    "   fleet %d boards: %.3fs plain, %.3fs with rollups -> %.3fx throughput \
-     (gate >= 0.90)\n"
-    rollup_boards plain_s health_s rollup_ratio;
-  if assert_ratios && rollup_ratio < 0.90 then
-    failwith "obs: health rollups cost more than 10% of fleet throughput";
+  let plain, health = bench_rollup ~boards:rollup_boards in
+  (* boards/s with rollups relative to boards/s without *)
+  let rollup_ratio = plain.Timing.ns_per_op /. health.Timing.ns_per_op in
 
   (* -- board workload latency profile -- *)
   let seconds = Float.max 0.02 (0.5 *. scale) in
@@ -271,35 +164,73 @@ let run_mode ~scale ~assert_ratios ~write () =
     irq.Metrics.hs_count (q irq 0.5) (q irq 0.99);
   Printf.printf "   trace: %d events, %d dropped\n" trace_total trace_dropped;
 
-  if write then begin
-    let oc = open_out "BENCH_obs.json" in
-    Printf.fprintf oc
-      "{\n  \"bench\": \"obs\",\n  \
-       \"spend_overhead_ratio\": %.4f,\n  \
-       \"spend_overhead_gate\": 1.03,\n  \
-       \"emit_disabled_ns\": %.2f,\n  \
-       \"emit_disabled_gate_ns\": 4.50,\n  \
-       \"emit_disabled_enabled_ratio\": %.4f,\n  \
-       \"emit_disabled_enabled_gate\": 0.60,\n  \
-       \"rollup_boards\": %d,\n  \
-       \"rollup_throughput_ratio\": %.4f,\n  \
-       \"rollup_throughput_gate\": 0.90,\n  \
-       \"syscall_command_count\": %d,\n  \
-       \"syscall_command_p50_cycles\": %d,\n  \
-       \"syscall_command_p99_cycles\": %d,\n  \
-       \"irq_dispatch_count\": %d,\n  \
-       \"irq_dispatch_p50_cycles\": %d,\n  \
-       \"irq_dispatch_p99_cycles\": %d,\n  \
-       \"trace_events\": %d,\n  \
-       \"trace_dropped\": %d,\n  \"samples\": [\n%s\n  ]\n}\n"
-      ratio emit_disabled_ns emit_ratio rollup_boards rollup_ratio
-      sys.Metrics.hs_count (q sys 0.5) (q sys 0.99)
-      irq.Metrics.hs_count (q irq 0.5) (q irq 0.99) trace_total trace_dropped
-      (String.concat ",\n" (List.rev_map json_of_sample !samples));
-    close_out oc;
-    print_endline "   wrote BENCH_obs.json"
-  end;
-  print_newline ()
+  if write then
+    Timing.write_json "obs"
+      [
+        ("spend_overhead_ratio", Float ratio);
+        ("spend_overhead_gate", Float 1.03);
+        ("emit_disabled_ns", Float emit_off_ns);
+        ("emit_disabled_gate_ns", Float 4.50);
+        ("emit_disabled_enabled_ratio", Float emit_ratio);
+        ("emit_disabled_enabled_gate", Float 0.60);
+        ("rollup_boards", Int rollup_boards);
+        ("rollup_throughput_ratio", Float rollup_ratio);
+        ("rollup_throughput_gate", Float 0.90);
+        ("syscall_command_count", Int sys.Metrics.hs_count);
+        ("syscall_command_p50_cycles", Int (q sys 0.5));
+        ("syscall_command_p99_cycles", Int (q sys 0.99));
+        ("irq_dispatch_count", Int irq.Metrics.hs_count);
+        ("irq_dispatch_p50_cycles", Int (q irq 0.5));
+        ("irq_dispatch_p99_cycles", Int (q irq 0.99));
+        ("trace_events", Int trace_total);
+        ("trace_dropped", Int trace_dropped);
+      ]
+      (List.map Timing.sample_fields
+         [ replica; real; counter; hist; emit_on; emit_off; plain; health ]);
+  (* The disabled emit must be a single capacity load and branch: zero
+     words allocated across any number of calls. Host-independent, so it
+     is gated in smoke mode too. Of the two emit-cost gates, the relative
+     one (the disabled call must cost well under the enabled record path)
+     cancels host-speed drift; the absolute one is a backstop vs the
+     3.66 ns/op seed measurement, with headroom for the ~25% run-to-run
+     frequency jitter the host shows. *)
+  Timing.report "obs"
+    ([
+       ( "emit-disabled alloc-free",
+         emit_off.Timing.words_per_op = 0.,
+         Printf.sprintf
+           "trace/emit-disabled = %g minor words per call (ceiling 0)"
+           emit_off.words_per_op );
+       ( "board profile",
+         sys.Metrics.hs_count > 0 && irq.Metrics.hs_count > 0,
+         Printf.sprintf "board = %d command syscalls, %d IRQs (floor 1 each)"
+           sys.Metrics.hs_count irq.Metrics.hs_count );
+     ]
+    @
+    if assert_ratios then
+      [
+        ( "spend overhead",
+          ratio <= 1.03,
+          Printf.sprintf
+            "disabled-mode Sim.spend = %.3fx the seed replica (ceiling 1.03x)"
+            ratio );
+        ( "emit-disabled cost",
+          emit_off_ns <= 4.50,
+          Printf.sprintf "trace/emit-disabled = %.2f ns/op (ceiling 4.50)"
+            emit_off_ns );
+        ( "emit-disabled vs enabled",
+          emit_ratio <= 0.60,
+          Printf.sprintf
+            "trace/emit-disabled = %.2fx the enabled cost (ceiling 0.60x)"
+            emit_ratio );
+        ( "rollup throughput",
+          rollup_ratio >= 0.90,
+          Printf.sprintf
+            "fleet %d boards with rollups = %.3fx no-rollup throughput \
+             (floor 0.90x)"
+            rollup_boards rollup_ratio );
+      ]
+    else [])
 
 let run () = run_mode ~scale:1.0 ~assert_ratios:true ~write:true ()
 
