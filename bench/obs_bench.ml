@@ -132,7 +132,7 @@ let bench_rollup ~boards =
     }
   in
   let run cfg () = ignore (Tock_fleet.Fleet.run_fleet cfg) in
-  Timing.pair ~reps:4
+  Timing.pair ~reps:2
     ("rollup/fleet-plain", 1, run cfg)
     ("rollup/fleet-health", 1, run { cfg with Tock_fleet.Fleet.health = true })
 
@@ -197,10 +197,11 @@ let run_mode ~scale ~assert_ratios ~write () =
   Timing.report "obs"
     ([
        ( "emit-disabled alloc-free",
-         emit_off.Timing.words_per_op = 0.,
+         emit_off.Timing.words = 0.,
          Printf.sprintf
-           "trace/emit-disabled = %g minor words per call (ceiling 0)"
-           emit_off.words_per_op );
+           "trace/emit-disabled = %g minor words over %d calls (ceiling 0)"
+           emit_off.words
+           (emit_off.reps * emit_off.iters) );
        ( "board profile",
          sys.Metrics.hs_count > 0 && irq.Metrics.hs_count > 0,
          Printf.sprintf "board = %d command syscalls, %d IRQs (floor 1 each)"

@@ -5,10 +5,10 @@
    passes of [iters] calls. [ns_per_op] is the minimum over passes: the
    host is noisy (other tenants, frequency scaling, GC slices), and the
    minimum is a far more stable estimate of the achievable per-op cost
-   than any single pass. Many short passes beat a few long ones: each
-   side gets more chances to land in a quiet window. The median and
-   interquartile range are kept alongside so the spread behind that
-   minimum stays visible.
+   than any single pass. Many short passes give each side more chances
+   to land in a quiet window than a few long ones (so an absolute ns/op
+   bound is looser under this estimator). The median and interquartile
+   range are kept alongside so the spread behind that minimum shows.
 
    A fast-vs-reference ratio is only meaningful when both sides see the
    same host conditions, so [pair] alternates the two sides pass by pass
@@ -25,7 +25,7 @@ type sample = {
   reps : int;
   iters : int;  (** calls per timed pass *)
   ops : int;  (** calls actually run, warm-up included *)
-  words_per_op : float;  (** minor-heap words per timed call *)
+  words : float;  (** minor-heap words over all timed passes *)
 }
 
 (* One timed pass. Every side of every bench runs through this one
@@ -47,16 +47,18 @@ let quantile a q =
   else a.(i) +. ((x -. float_of_int i) *. (a.(i + 1) -. a.(i)))
 
 let print s =
-  Printf.printf "   %-28s %12.1f ns/op  (median %.1f, IQR %.1f, %.1f w/op)\n%!"
-    s.name s.ns_per_op s.median_ns s.iqr_ns s.words_per_op
+  Printf.printf "   %-28s %12.1f ns/op  (median %.1f, IQR %.1f, %.0f words)\n%!"
+    s.name s.ns_per_op s.median_ns s.iqr_ns s.words
 
-(* Time each side [reps] times, one pass per side per round. *)
+(* Time each side [reps] times, one pass per side per round. A side
+   whose pass is a single call (a whole fleet run) is not warmed up:
+   its first pass is already seconds long. *)
 let interleaved ~reps sides =
   let sides = Array.of_list sides in
   let warmup =
     Array.map
       (fun (_, iters, f) ->
-        let n = min iters 1_000 in
+        let n = if iters = 1 then 0 else min iters 1_000 in
         for _ = 1 to n do
           f ()
         done;
@@ -88,7 +90,7 @@ let interleaved ~reps sides =
              reps;
              iters;
              ops = warmup.(i) + (reps * iters);
-             words_per_op = words.(i) /. float_of_int (reps * iters);
+             words = words.(i);
            }
          in
          print s;
@@ -96,8 +98,8 @@ let interleaved ~reps sides =
        sides)
 
 (* [per_op name iters f]: the sample for [iters] calls of [f] per pass. *)
-let per_op ?(reps = 50) name iters f =
-  match interleaved ~reps [ (name, iters, f) ] with
+let per_op name iters f =
+  match interleaved ~reps:50 [ (name, iters, f) ] with
   | [ s ] -> s
   | _ -> assert false
 
