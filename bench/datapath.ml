@@ -286,10 +286,10 @@ let run_mode ~scale ~assert_ratios ~write () =
     Timing.pair
       ( "crc16/frame-fast",
         it 50_000,
-        fun () -> ignore (Net.crc16 frame ~off:0 ~len:111) )
+        fun () -> ignore (Tock.Crc16.digest frame ~off:0 ~len:111) )
       ( "crc16/frame-ref",
         it 10_000,
-        fun () -> ignore (Net.crc16_ref frame ~off:0 ~len:111) )
+        fun () -> ignore (Tock.Crc16.Reference.digest frame ~off:0 ~len:111) )
   in
 
   (* -- supporting primitives -- *)

@@ -9,4 +9,4 @@ include Tock_crypto.Crc16
 
 let update_sub crc (s : Subslice.t) =
   let off, len = Subslice.window s in
-  update_fast crc (Subslice.underlying s) ~off ~len
+  update crc (Subslice.underlying s) ~off ~len

@@ -1,11 +1,9 @@
 (* CRC-16/CCITT-FALSE (init 0xFFFF, poly 0x1021, MSB-first, no reflect).
 
-   One checksum kernel for every frame on the wire: the bitwise version
-   is the oracle, the 256-entry table derived from it at module init is
-   the scalar production kernel, and the slicing-by-4 variant is the
-   data-plane kernel used by the zero-copy frame path, where the CRC is
-   the only per-byte work left (iopath bench). All three compute the
-   same function; the equivalence is property-tested. *)
+   One checksum kernel for every frame on the wire, transmit and
+   receive: slicing-by-4 over tables derived at module init, with a
+   byte-table loop for the tail. The bitwise version is the oracle the
+   tables come from; the equivalence is property-tested. *)
 
 let init = 0xFFFF
 
@@ -38,28 +36,13 @@ let table =
       done;
       !crc)
 
-let update_byte crc byte =
-  ((crc lsl 8) lxor Array.unsafe_get table ((crc lsr 8) lxor (byte land 0xff)))
-  land 0xFFFF
-
-let update crc b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Crc16.update";
-  let crc = ref (crc land 0xFFFF) in
-  for i = off to off + len - 1 do
-    let idx = (!crc lsr 8) lxor Char.code (Bytes.unsafe_get b i) in
-    crc := ((!crc lsl 8) lxor Array.unsafe_get table idx) land 0xFFFF
-  done;
-  !crc
-
-let digest b ~off ~len = update init b ~off ~len
-
 (* Slicing-by-4: process 4 input bytes per iteration with one table
    lookup each and no inter-byte carry chain. T_k[b] is the CRC of byte
    [b] followed by [k] zero bytes (from a zero state); by GF(2)
    linearity, advancing state [c] over bytes x0..x3 is
      T3[x0 ^ hi c] ^ T2[x1 ^ lo c] ^ T1[x2] ^ T0[x3]
-   since only the two state bytes of a 16-bit CRC mix into the input. *)
+   since only the two state bytes of a 16-bit CRC mix into the input.
+   The last [len mod 4] bytes go through [table] one at a time. *)
 let advance c = ((c lsl 8) lxor Array.unsafe_get table (c lsr 8)) land 0xFFFF
 
 let table1 = Array.map advance table
@@ -68,9 +51,9 @@ let table2 = Array.map advance table1
 
 let table3 = Array.map advance table2
 
-let update_fast crc b ~off ~len =
+let update crc b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
-    invalid_arg "Crc16.update_fast";
+    invalid_arg "Crc16.update";
   let crc = ref (crc land 0xFFFF) in
   let i = ref off in
   let stop4 = off + (len land lnot 3) in
@@ -93,4 +76,4 @@ let update_fast crc b ~off ~len =
   done;
   !crc
 
-let digest_fast b ~off ~len = update_fast init b ~off ~len
+let digest b ~off ~len = update init b ~off ~len

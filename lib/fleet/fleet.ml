@@ -443,14 +443,14 @@ let resume_parked cfg workloads pk =
 (* ---- the per-domain scheduler ---- *)
 
 (* Everything one domain hands back: per-board stats (unordered), the
-   streaming metrics accumulator, the scheduler-metrics snapshot, and
+   streaming metrics accumulator, the scheduler-metrics registry, and
    the observability side-channels — per-cohort health rollup, the
    domain's own trace lane, the sampled boards' lanes, and any flight
    artifacts captured. *)
 type domain_out = {
   do_stats : board_stats list;
   do_accum : Tock_obs.Metrics.Accum.t;
-  do_sched : Tock_obs.Metrics.snapshot;
+  do_sched : Tock_obs.Metrics.t;
   do_rollup : Rollup.t option;
   do_lane : Tock_obs.Trace.lane option;
   do_board_lanes : Tock_obs.Trace.lane list;
@@ -713,7 +713,7 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
   {
     do_stats = !results;
     do_accum = accum;
-    do_sched = Tock_obs.Metrics.snapshot reg;
+    do_sched = reg;
     do_rollup = roll;
     do_lane =
       (if Tock_obs.Trace.on dtr then
@@ -819,16 +819,18 @@ let run_fleet cfg =
   Array.iteri
     (fun i bs -> if bs.bs_board <> i then failwith "Fleet.run_fleet: missing board")
     merged;
-  (* Tree-merge the per-domain accumulators in domain order. Every
+  (* Tree-merge the per-domain registries in domain order. Every
      combine is an integer sum (see the associativity contract in
-     Tock_obs.Metrics), so the result is byte-identical to the pairwise
-     merge over the board array whatever the retirement order, domain
-     placement, or park/resume history. *)
-  let fleet_acc = Tock_obs.Metrics.Accum.create () in
-  List.iter
-    (fun o -> Tock_obs.Metrics.Accum.absorb ~into:fleet_acc o.do_accum)
-    shards;
-  let fr_metrics = Tock_obs.Metrics.Accum.to_snapshot fleet_acc in
+     Tock_obs.Metrics), so the result is the per-name sum over the
+     board array whatever the retirement order, domain placement, or
+     park/resume history. *)
+  let absorb_all field =
+    let acc = Tock_obs.Metrics.Accum.create () in
+    List.iter (fun o -> Tock_obs.Metrics.Accum.absorb ~into:acc (field o)) shards;
+    acc
+  in
+  let fleet_acc = absorb_all (fun o -> o.do_accum) in
+  let fr_metrics = Tock_obs.Metrics.snapshot fleet_acc in
   (* Health: absorb the per-domain rollups (same commutative-sum
      contract), then evaluate SLOs and run the outlier pass over the
      merged stats in board order — deterministic at any domain count. *)
@@ -884,7 +886,7 @@ let run_fleet cfg =
               fa_clock = 0;
               fa_clock_hz = 1;
               fa_events = [];
-              fa_metrics = Some (Tock_obs.Metrics.pack fr_metrics);
+              fa_metrics = Some (Tock_obs.Metrics.packed_of fleet_acc);
               fa_witness = "";
             };
           ]
@@ -913,13 +915,14 @@ let run_fleet cfg =
             compare a.Tock_obs.Trace.lane_pid b.Tock_obs.Trace.lane_pid)
           (List.concat_map (fun o -> o.do_board_lanes) shards)
       in
-      let clock_hz = Tock_hw.Sim.clock_hz (Tock_hw.Sim.create ()) in
-      Some (Tock_obs.Trace.to_chrome_json_lanes ~clock_hz (dlanes @ blanes))
+      Some
+        (Tock_obs.Trace.to_chrome_json_lanes
+           ~clock_hz:Tock_hw.Sim.default_clock_hz (dlanes @ blanes))
   in
   {
     fr_stats = merged;
     fr_metrics;
-    fr_sched = Tock_obs.Metrics.merge (List.map (fun o -> o.do_sched) shards);
+    fr_sched = Tock_obs.Metrics.snapshot (absorb_all (fun o -> o.do_sched));
     fr_health;
     fr_trace_json;
     fr_flights;

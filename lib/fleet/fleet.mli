@@ -124,11 +124,9 @@ type fleet_result = {
   fr_stats : board_stats array;  (** indexed by board number *)
   fr_metrics : Tock_obs.Metrics.snapshot;
       (** fleet-wide merged board metrics, accumulated {e streaming} as
-          each group retires (per-domain accumulators, tree-merged) —
-          byte-identical to the pairwise
-          {!Tock_obs.Metrics.merge_packed} of [fr_stats]' packed
-          snapshots (one shared merge kernel) for every domain
-          count, batch quantum, and park setting *)
+          each group retires (per-domain registries, tree-merged) —
+          the per-name sum of [fr_stats]' packed snapshots for every
+          domain count, batch quantum, and park setting *)
   fr_sched : Tock_obs.Metrics.snapshot;
       (** merged scheduler metrics ([fleet.sched.*]: dispatches, steals,
           parked wakes, fast-forwards, board parks/resumes, resume

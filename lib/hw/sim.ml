@@ -33,7 +33,9 @@ type t = {
 
 let default_trace_capacity = 1024
 
-let create ?(seed = 0x70CC_2025L) ?(clock_hz = 16_000_000)
+let default_clock_hz = 16_000_000
+
+let create ?(seed = 0x70CC_2025L) ?(clock_hz = default_clock_hz)
     ?(trace_capacity = default_trace_capacity) () =
   if trace_capacity < 0 then invalid_arg "Sim.create: trace_capacity < 0";
   let reg = Tock_obs.Metrics.create () in

@@ -22,10 +22,14 @@ type t
 type meter
 (** A registered power consumer. *)
 
+val default_clock_hz : int
+(** The clock {!create} uses when given none: 16 MHz. *)
+
 val create : ?seed:int64 -> ?clock_hz:int -> ?trace_capacity:int -> unit -> t
-(** Default clock: 16 MHz. The seed feeds every PRNG derived from this
-    context. [trace_capacity] bounds the trace ring (default 1024);
-    [0] disables tracing entirely, making {!trace}/{!tracef} free. *)
+(** Default clock: {!default_clock_hz}. The seed feeds every PRNG
+    derived from this context. [trace_capacity] bounds the trace ring
+    (default 1024); [0] disables tracing entirely, making
+    {!trace}/{!tracef} free. *)
 
 val now : t -> int
 (** Current time in cycles since boot. *)

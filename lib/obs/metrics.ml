@@ -202,8 +202,6 @@ type packed = {
          (bucket index, bucket count) pairs in ascending bucket order *)
 }
 
-let blob_word p i = Int64.to_int (String.get_int64_le p.p_blob (8 * i))
-
 let kind_char = function Mc _ -> 'c' | Mg _ -> 'g' | Mh _ -> 'h'
 
 (* A pack plan: the schema plus the registry-iteration-order -> sorted
@@ -306,157 +304,157 @@ let packed_of t =
     order;
   { p_schema = plan.pl_schema; p_blob = Bytes.unsafe_to_string blob }
 
-let pack snap =
-  let n = List.length snap in
-  let sc_names = Array.make n "" in
-  let kinds = Bytes.make n 'c' in
-  let hist_words =
-    List.fold_left
-      (fun acc (_, v) ->
+(* The one reader of the blob layout. Series go by in schema order:
+   counters and gauges surface as their value; a histogram surfaces as
+   its count and sum ([hist] returns a handle for it), then each of its
+   non-empty (bucket, n) pairs goes to [bucket] with that handle. Every
+   word is range-checked before it is read or handed on, so a truncated
+   or bit-flipped image stops the walk with [Error], never an
+   exception; the callbacks may have seen the series before the
+   damage. *)
+exception Damaged of string
+
+let blob_word blob i = Int64.to_int (String.get_int64_le blob (8 * i))
+
+let iter_packed p ~counter ~gauge ~hist ~bucket =
+  let sc = p.p_schema and blob = p.p_blob in
+  let n = Array.length sc.sc_names and words = String.length blob / 8 in
+  let damaged fmt = Printf.ksprintf (fun m -> raise (Damaged m)) fmt in
+  match
+    if String.length sc.sc_kinds <> n then
+      damaged "schema has %d names but %d kinds" n (String.length sc.sc_kinds);
+    if String.length blob mod 8 <> 0 || words < n then
+      damaged "blob is %d bytes for %d series" (String.length blob) n;
+    for rank = 0 to n - 1 do
+      let name = sc.sc_names.(rank) in
+      match sc.sc_kinds.[rank] with
+      | 'c' -> counter name (blob_word blob rank)
+      | 'g' -> gauge name (blob_word blob rank)
+      | 'h' ->
+          let off = blob_word blob rank in
+          if off < n || off > words - 3 then
+            damaged "series %s: histogram offset %d out of range" name off;
+          let np = blob_word blob (off + 2) in
+          if np < 0 || np > buckets || off + 3 + (2 * np) > words then
+            damaged "series %s: %d histogram pairs out of range" name np;
+          let a =
+            hist name ~count:(blob_word blob off) ~sum:(blob_word blob (off + 1))
+          in
+          for j = 0 to np - 1 do
+            let b = blob_word blob (off + 3 + (2 * j)) in
+            if b < 0 || b >= buckets then
+              damaged "series %s: bucket %d out of range" name b;
+            bucket a b (blob_word blob (off + 4 + (2 * j)))
+          done
+      | k -> damaged "series %s: unknown kind %C" name k
+    done
+  with
+  | () -> Ok ()
+  | exception Damaged m -> Error ("packed: " ^ m)
+
+(* ---- accumulation ----
+
+   A registry is its own accumulator. Merging is a per-name integer sum
+   into the registry's records (counters and gauges add; histograms add
+   count, sum and each bucket), so it is associative and commutative:
+   any grouping or ordering of the same inputs accumulates the same
+   totals, and [snapshot] renders them sorted by name — byte-identical
+   output however the merge tree was shaped. The four [add_*] below are
+   the one add routine behind every merge path: snapshots, packed
+   images and whole registries. *)
+
+let add_counter t name v =
+  let c = counter t name in
+  c.c_value <- c.c_value + v
+
+let add_gauge t name v =
+  let g = gauge t name in
+  g.g_value <- g.g_value + v
+
+let add_hist t name ~count ~sum =
+  let h = histogram t name in
+  h.h_count <- h.h_count + count;
+  h.h_sum <- h.h_sum + sum;
+  h.h_buckets
+
+let add_bucket a b n = a.(b) <- a.(b) + n
+
+module Accum = struct
+  type nonrec t = t
+
+  let create = create
+
+  let add t snap =
+    List.iter
+      (fun (name, v) ->
         match v with
-        | Histogram hs -> acc + 3 + (2 * hist_pairs hs.hs_buckets)
-        | _ -> acc)
-      0 snap
-  in
-  let blob = Bytes.create (8 * (n + hist_words)) in
-  let set i v = Bytes.set_int64_le blob (8 * i) (Int64.of_int v) in
-  let cursor = ref n in
-  List.iteri
-    (fun rank (name, v) ->
-      sc_names.(rank) <- name;
-      match v with
-      | Counter c -> set rank c
-      | Gauge g ->
-          Bytes.set kinds rank 'g';
-          set rank g
-      | Histogram hs ->
-          Bytes.set kinds rank 'h';
-          let off = !cursor in
-          set rank off;
-          set off hs.hs_count;
-          set (off + 1) hs.hs_sum;
-          let np = ref 0 in
-          let j = ref (off + 3) in
-          Array.iteri
-            (fun b n ->
-              if n <> 0 then begin
-                set !j b;
-                set (!j + 1) n;
-                j := !j + 2;
-                Stdlib.incr np
-              end)
-            hs.hs_buckets;
-          set (off + 2) !np;
-          cursor := !j)
-    snap;
-  {
-    p_schema = { sc_names; sc_kinds = Bytes.to_string kinds };
-    p_blob = Bytes.unsafe_to_string blob;
-  }
+        | Counter n -> add_counter t name n
+        | Gauge n -> add_gauge t name n
+        | Histogram hs ->
+            let a = add_hist t name ~count:hs.hs_count ~sum:hs.hs_sum in
+            Array.iteri (add_bucket a) hs.hs_buckets)
+      snap
+
+  let add_packed t p =
+    match
+      iter_packed p ~counter:(add_counter t) ~gauge:(add_gauge t)
+        ~hist:(add_hist t) ~bucket:add_bucket
+    with
+    | Ok () -> ()
+    | Error e -> invalid_arg ("Metrics.Accum.add_packed: " ^ e)
+
+  let absorb ~into src = add into (snapshot src)
+
+  let to_snapshot = snapshot
+end
+
+let merge snaps =
+  let t = create () in
+  List.iter (Accum.add t) snaps;
+  snapshot t
+
+(* A snapshot packs through a registry, so [packed_of] stays the only
+   blob encoder. *)
+let pack snap =
+  let t = create () in
+  Accum.add t snap;
+  packed_of t
 
 (* Structural validation of a packed image against its own schema:
-   every word [unpack], [merge_packed] and [Accum.add_packed] will read
-   must exist, every histogram record must lie inside the blob with
-   in-range bucket indices. [packed_of]/[pack] construct images that
-   pass by construction; images rebuilt from bytes (board witnesses,
+   names strictly ascending (no series twice), and every word the
+   walker reads in range. [packed_of]/[pack] build images that pass by
+   construction; images rebuilt from bytes (board witnesses,
    flight-recorder artifacts) may be truncated or bit-flipped, and the
    contract mirrors the board-witness hardening: [Error] with a
    diagnostic, never an exception. *)
-let validate_packed p =
-  let err fmt = Printf.ksprintf (fun m -> Error ("packed: " ^ m)) fmt in
-  let sc = p.p_schema in
-  let n = Array.length sc.sc_names in
-  let words = String.length p.p_blob / 8 in
-  if String.length sc.sc_kinds <> n then
-    err "schema has %d names but %d kinds" n (String.length sc.sc_kinds)
-  else if String.length p.p_blob mod 8 <> 0 || words < n then
-    err "blob is %d bytes for %d series" (String.length p.p_blob) n
-  else begin
-    let bad = ref None in
-    for rank = 0 to n - 1 do
-      if !bad = None then
-        match sc.sc_kinds.[rank] with
-        | 'c' | 'g' -> ()
-        | 'h' ->
-            let off = blob_word p rank in
-            if off < n || off + 3 > words then
-              bad :=
-                Some
-                  (err "series %s: histogram offset %d out of range"
-                     sc.sc_names.(rank) off)
-            else
-              let np = blob_word p (off + 2) in
-              if np < 0 || np > buckets || off + 3 + (2 * np) > words then
-                bad :=
-                  Some
-                    (err "series %s: %d histogram pairs out of range"
-                       sc.sc_names.(rank) np)
-              else
-                for k = 0 to np - 1 do
-                  let b = blob_word p (off + 3 + (2 * k)) in
-                  if (b < 0 || b >= buckets) && !bad = None then
-                    bad :=
-                      Some
-                        (err "series %s: bucket %d out of range"
-                           sc.sc_names.(rank) b)
-                done
-        | k -> bad := Some (err "series %s: unknown kind %C" sc.sc_names.(rank) k)
-    done;
-    match !bad with Some e -> e | None -> Ok ()
-  end
+let names_ascending p =
+  let names = p.p_schema.sc_names in
+  let rec from i =
+    i >= Array.length names
+    || (String.compare names.(i - 1) names.(i) < 0 && from (i + 1))
+  in
+  if from 1 then Ok () else Error "packed: series names not strictly ascending"
 
-(* Unchecked per-series fold over a validated image: the allocation-free
-   read path shared by the health-rollup engine. Histograms surface as
-   their (count, sum) pair — the per-board scalar shape the cross-board
-   distributions fold. *)
-let iter_packed p ~counter ~gauge ~hist =
-  let sc = p.p_schema in
-  for rank = 0 to Array.length sc.sc_names - 1 do
-    let name = sc.sc_names.(rank) in
-    match sc.sc_kinds.[rank] with
-    | 'c' -> counter name (blob_word p rank)
-    | 'g' -> gauge name (blob_word p rank)
-    | _ ->
-        let off = blob_word p rank in
-        hist name ~count:(blob_word p off) ~sum:(blob_word p (off + 1))
-  done
+let validate_packed p =
+  Result.bind (names_ascending p) (fun () ->
+      iter_packed p
+        ~counter:(fun _ _ -> ())
+        ~gauge:(fun _ _ -> ())
+        ~hist:(fun _ ~count:_ ~sum:_ -> ())
+        ~bucket:(fun () _ _ -> ()))
 
 let unpack p =
   match validate_packed p with
-  | Error _ as e -> e
+  | Error e -> Error e
   | Ok () ->
-      let sc = p.p_schema in
-      let n = Array.length sc.sc_names in
-      let rec go rank acc =
-        if rank < 0 then acc
-        else
-          let v =
-            match sc.sc_kinds.[rank] with
-            | 'c' -> Counter (blob_word p rank)
-            | 'g' -> Gauge (blob_word p rank)
-            | _ ->
-                let off = blob_word p rank in
-                let hs_buckets = Array.make buckets 0 in
-                let np = blob_word p (off + 2) in
-                for k = 0 to np - 1 do
-                  hs_buckets.(blob_word p (off + 3 + (2 * k))) <-
-                    blob_word p (off + 3 + (2 * k) + 1)
-                done;
-                Histogram
-                  {
-                    hs_count = blob_word p off;
-                    hs_sum = blob_word p (off + 1);
-                    hs_buckets;
-                  }
-          in
-          go (rank - 1) ((sc.sc_names.(rank), v) :: acc)
-      in
-      Ok (go (n - 1) [])
+      let t = create () in
+      Accum.add_packed t p;
+      Ok (snapshot t)
 
 (* The wire form: the schema as a counted list of (name, kind) entries,
    then the blob, which already is the canonical int64-LE value image.
    Decoding validates the rebuilt image, so external bytes that decode
-   are safe for every unchecked reader. *)
+   are safe for every reader. *)
 let packed_codec =
   Codec.(conv
            (fun p ->
@@ -477,54 +475,33 @@ let packed_to_string p = Codec.encode packed_codec p
 let packed_of_string s = Codec.decode packed_codec s
 
 (* Overwrite a registry's values from a packed image: the thaw path of
-   board freeze/thaw. Series missing from the registry are created
-   (snapshot hooks mint gauges lazily, so a freshly-built board has
-   fewer series than its frozen image); a registry series absent from
-   the image would keep a stale value, so that is an error. *)
+   board freeze/thaw, and the accumulation walk with [<-] in place of
+   [+]. Series missing from the registry are created (snapshot hooks
+   mint gauges lazily, so a freshly-built board has fewer series than
+   its frozen image). A name registered with another kind, or a
+   registry series absent from the image (its stale value would
+   survive), is an [Error]; so is a damaged image, which the walk may
+   have half applied by then. *)
 let restore_packed t p =
-  match validate_packed p with
+  let overwrite () =
+    iter_packed p
+      ~counter:(fun name v -> (counter t name).c_value <- v)
+      ~gauge:(fun name v -> (gauge t name).g_value <- v)
+      ~hist:(fun name ~count ~sum ->
+        let h = histogram t name in
+        h.h_count <- count;
+        h.h_sum <- sum;
+        Array.fill h.h_buckets 0 buckets 0;
+        h.h_buckets)
+      ~bucket:(fun a b n -> a.(b) <- n)
+  in
+  (* Ascending names first: the stale-series count below is only sound
+     when no name repeats. *)
+  match Result.bind (names_ascending p) overwrite with
+  | exception Invalid_argument m -> Error ("restore_packed: " ^ m)
   | Error e -> Error e
   | Ok () ->
-  let sc = p.p_schema in
-  let n = Array.length sc.sc_names in
-  let bad = ref None in
-  for rank = 0 to n - 1 do
-    if !bad = None then begin
-      let name = sc.sc_names.(rank) in
-      match (sc.sc_kinds.[rank], Hashtbl.find_opt t.by_name name) with
-      | 'c', Some (Mc c) -> c.c_value <- blob_word p rank
-      | 'c', None ->
-          let c = counter t name in
-          c.c_value <- blob_word p rank
-      | 'g', Some (Mg g) -> g.g_value <- blob_word p rank
-      | 'g', None ->
-          let g = gauge t name in
-          g.g_value <- blob_word p rank
-      | 'h', (Some (Mh _) | None) ->
-          let h =
-            match Hashtbl.find_opt t.by_name name with
-            | Some (Mh h) -> h
-            | _ -> histogram t name
-          in
-          let off = blob_word p rank in
-          h.h_count <- blob_word p off;
-          h.h_sum <- blob_word p (off + 1);
-          Array.fill h.h_buckets 0 buckets 0;
-          let np = blob_word p (off + 2) in
-          for k = 0 to np - 1 do
-            h.h_buckets.(blob_word p (off + 3 + (2 * k))) <-
-              blob_word p (off + 3 + (2 * k) + 1)
-          done
-      | _, Some _ ->
-          bad :=
-            Some
-              (Printf.sprintf "restore_packed: %s exists with another type" name)
-      | _ -> assert false
-    end
-  done;
-  match !bad with
-  | Some m -> Error m
-  | None ->
+      let n = Array.length p.p_schema.sc_names in
       if Hashtbl.length t.by_name <> n then
         Error
           (Printf.sprintf
@@ -532,158 +509,6 @@ let restore_packed t p =
               series would survive"
              (Hashtbl.length t.by_name) n)
       else Ok ()
-
-(* ---- incremental merge ----
-
-   One merge kernel for everything: the pairwise [merge] below, the
-   fleet's streaming per-domain accumulators, and cross-domain tree
-   merges all feed an [Accum.t]. Merging is a per-name integer sum
-   (counters and gauges add; histograms add count, sum and each bucket),
-   so it is associative and commutative: any grouping or ordering of
-   the same multiset of snapshots accumulates to the same totals, and
-   [to_snapshot] renders them sorted by name — byte-identical output
-   however the merge tree was shaped. *)
-
-module Accum = struct
-  type acc =
-    | Ac of { mutable av : int }
-    | Ag of { mutable av : int }
-    | Ah of { mutable ah_count : int; mutable ah_sum : int; ah_buckets : int array }
-
-  type t = (string, acc) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let conflict name = invalid_arg ("Metrics.merge: " ^ name ^ " has conflicting types")
-
-  let add_value t name v =
-    match (Hashtbl.find_opt t name, v) with
-    | None, Counter n -> Hashtbl.replace t name (Ac { av = n })
-    | None, Gauge n -> Hashtbl.replace t name (Ag { av = n })
-    | None, Histogram hs ->
-        Hashtbl.replace t name
-          (Ah
-             {
-               ah_count = hs.hs_count;
-               ah_sum = hs.hs_sum;
-               ah_buckets = Array.copy hs.hs_buckets;
-             })
-    | Some (Ac a), Counter n -> a.av <- a.av + n
-    | Some (Ag a), Gauge n -> a.av <- a.av + n
-    | Some (Ah a), Histogram hs ->
-        a.ah_count <- a.ah_count + hs.hs_count;
-        a.ah_sum <- a.ah_sum + hs.hs_sum;
-        for i = 0 to buckets - 1 do
-          a.ah_buckets.(i) <- a.ah_buckets.(i) + hs.hs_buckets.(i)
-        done
-    | Some _, _ -> conflict name
-
-  let add t snap = List.iter (fun (name, v) -> add_value t name v) snap
-
-  (* The packed fast path: no unpacking allocation on the hit path —
-     scalars add in place, histogram pairs add into the accumulated
-     bucket array. *)
-  let add_packed t p =
-    let sc = p.p_schema in
-    for rank = 0 to Array.length sc.sc_names - 1 do
-      let name = sc.sc_names.(rank) in
-      match (Hashtbl.find_opt t name, sc.sc_kinds.[rank]) with
-      | None, 'c' -> Hashtbl.replace t name (Ac { av = blob_word p rank })
-      | None, 'g' -> Hashtbl.replace t name (Ag { av = blob_word p rank })
-      | None, _ ->
-          let off = blob_word p rank in
-          let ah_buckets = Array.make buckets 0 in
-          let np = blob_word p (off + 2) in
-          for k = 0 to np - 1 do
-            ah_buckets.(blob_word p (off + 3 + (2 * k))) <-
-              blob_word p (off + 3 + (2 * k) + 1)
-          done;
-          Hashtbl.replace t name
-            (Ah
-               {
-                 ah_count = blob_word p off;
-                 ah_sum = blob_word p (off + 1);
-                 ah_buckets;
-               })
-      | Some (Ac a), 'c' -> a.av <- a.av + blob_word p rank
-      | Some (Ag a), 'g' -> a.av <- a.av + blob_word p rank
-      | Some (Ah a), 'h' ->
-          let off = blob_word p rank in
-          a.ah_count <- a.ah_count + blob_word p off;
-          a.ah_sum <- a.ah_sum + blob_word p (off + 1);
-          let np = blob_word p (off + 2) in
-          for k = 0 to np - 1 do
-            let b = blob_word p (off + 3 + (2 * k)) in
-            a.ah_buckets.(b) <- a.ah_buckets.(b) + blob_word p (off + 3 + (2 * k) + 1)
-          done
-      | Some _, _ -> conflict name
-    done
-
-  let absorb ~into src =
-    Hashtbl.iter
-      (fun name acc ->
-        match (Hashtbl.find_opt into name, acc) with
-        | None, Ac a -> Hashtbl.replace into name (Ac { av = a.av })
-        | None, Ag a -> Hashtbl.replace into name (Ag { av = a.av })
-        | None, Ah a ->
-            Hashtbl.replace into name
-              (Ah
-                 {
-                   ah_count = a.ah_count;
-                   ah_sum = a.ah_sum;
-                   ah_buckets = Array.copy a.ah_buckets;
-                 })
-        | Some (Ac d), Ac a -> d.av <- d.av + a.av
-        | Some (Ag d), Ag a -> d.av <- d.av + a.av
-        | Some (Ah d), Ah a ->
-            d.ah_count <- d.ah_count + a.ah_count;
-            d.ah_sum <- d.ah_sum + a.ah_sum;
-            for i = 0 to buckets - 1 do
-              d.ah_buckets.(i) <- d.ah_buckets.(i) + a.ah_buckets.(i)
-            done
-        | Some _, _ -> conflict name)
-      src
-
-  let to_snapshot t =
-    Hashtbl.fold
-      (fun name acc l ->
-        let v =
-          match acc with
-          | Ac a -> Counter a.av
-          | Ag a -> Gauge a.av
-          | Ah a ->
-              Histogram
-                {
-                  hs_count = a.ah_count;
-                  hs_sum = a.ah_sum;
-                  hs_buckets = Array.copy a.ah_buckets;
-                }
-        in
-        (name, v) :: l)
-      t []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-end
-
-let merge snaps =
-  let a = Accum.create () in
-  List.iter (Accum.add a) snaps;
-  Accum.to_snapshot a
-
-let merge_packed ps =
-  (* Validate every image before folding any: [Accum.add_packed] reads
-     the blob unchecked, so a truncated image must be refused up front
-     rather than half-merged. *)
-  let rec check = function
-    | [] -> Ok ()
-    | p :: rest -> (
-        match validate_packed p with Error _ as e -> e | Ok () -> check rest)
-  in
-  match check ps with
-  | Error e -> Error e
-  | Ok () ->
-      let a = Accum.create () in
-      List.iter (Accum.add_packed a) ps;
-      Ok (Accum.to_snapshot a)
 
 (* ---- rendering ---- *)
 

@@ -83,15 +83,17 @@ val merge : snapshot list -> snapshot
 (** Merge by name: counters and gauges sum, histograms add bucket-wise.
     [Invalid_argument] if one name carries two metric types.
 
-    {b Associativity contract.} Every combine is a per-name integer sum
-    (counter + counter, gauge + gauge, histogram count/sum/buckets
-    element-wise), so merging is associative {e and} commutative: for
-    any multiset of snapshots, any merge tree — pairwise [merge],
-    streaming accumulation into an {!Accum.t}, per-domain partial
-    accumulators tree-merged with {!Accum.absorb} — produces the same
-    snapshot, rendered sorted by name. The fleet runner relies on this
-    to merge per-board stats as groups retire, in whatever order domains
-    finish, and still emit byte-identical output. *)
+    {b Associativity contract.} A registry is its own accumulator
+    ({!Accum}): every merge path — [merge] over snapshots, packed
+    images folded in with {!Accum.add_packed}, per-domain registries
+    tree-merged with {!Accum.absorb} — sums into a registry's records
+    through one add routine (counter + counter, gauge + gauge,
+    histogram count/sum/buckets element-wise). Integer sums are
+    associative {e and} commutative, so any merge tree over the same
+    multiset of inputs produces the same snapshot, rendered sorted by
+    name. The fleet runner relies on this to merge per-board stats as
+    groups retire, in whatever order domains finish, and still emit
+    byte-identical output. *)
 
 (** {2 Packed snapshots}
 
@@ -124,32 +126,39 @@ type packed = {
 
 val packed_of : t -> packed
 (** Snapshot a registry directly into packed form (runs the same sync
-    hooks as {!snapshot}). [unpack (packed_of t) = snapshot t]. Sorting
-    cost is paid once per distinct registration sequence via a pooled
-    pack plan; subsequent boards pay two array fills. *)
+    hooks as {!snapshot}) — the one blob encoder.
+    [unpack (packed_of t) = snapshot t]. Sorting cost is paid once per
+    distinct registration sequence via a pooled pack plan; subsequent
+    boards pay two array fills. *)
 
 val pack : snapshot -> packed
-
-val validate_packed : packed -> (unit, string) result
-(** Structural check of a packed image against its own schema: blob
-    length, histogram offsets, pair counts and bucket indices all in
-    range. Images built by {!packed_of}/{!pack} pass by construction;
-    images rebuilt from external bytes may not. *)
-
-val unpack : packed -> (snapshot, string) result
-(** Validates first (see {!validate_packed}): a truncated or
-    bit-flipped image yields [Error], never an exception. *)
+(** [packed_of] over a fresh registry filled from the snapshot. *)
 
 val iter_packed :
   packed ->
   counter:(string -> int -> unit) ->
   gauge:(string -> int -> unit) ->
-  hist:(string -> count:int -> sum:int -> unit) ->
-  unit
-(** Allocation-free per-series fold over a packed image (histograms
-    surface as their count/sum pair). Reads are unchecked: callers
-    holding images from external bytes run {!validate_packed} first —
-    {!packed_of_string} already has. *)
+  hist:(string -> count:int -> sum:int -> 'a) ->
+  bucket:('a -> int -> int -> unit) ->
+  (unit, string) result
+(** The one reader of a packed image: every other reader below is a
+    walk through it. Series go by in schema order; a histogram surfaces
+    as its count and sum, and the handle [hist] returns is passed to
+    [bucket] with each non-empty (bucket index, n) pair, ascending.
+    Every offset, pair count and bucket index is range-checked before
+    use: a damaged image stops the walk with [Error], never an
+    exception (series before the damage have already been visited). *)
+
+val validate_packed : packed -> (unit, string) result
+(** Structural check of a packed image against its own schema: names
+    strictly ascending, and the blob length, histogram offsets, pair
+    counts and bucket indices all in range. Images built by
+    {!packed_of}/{!pack} pass by construction; images rebuilt from
+    external bytes may not. *)
+
+val unpack : packed -> (snapshot, string) result
+(** Validate, add into a fresh registry, snapshot: a truncated or
+    bit-flipped image yields [Error], never an exception. *)
 
 val packed_codec : packed Codec.t
 (** The binary form: series count, then per series a length-prefixed
@@ -167,40 +176,42 @@ val packed_of_string : string -> (packed, string) result
 
 val restore_packed : t -> packed -> (unit, string) result
 (** Overwrite the registry's values from a packed image — the thaw side
-    of board freeze/thaw. Series missing from the registry are created;
-    [Error] if a name exists with a different metric type, or if the
-    registry holds series the image does not (their stale values would
-    survive the restore). *)
+    of board freeze/thaw, and the {!Accum.add_packed} walk with
+    overwrite in place of add. Series missing from the registry are
+    created. [Error], never an exception, if the image fails
+    {!validate_packed}, if a name exists with a different metric type,
+    or if the registry holds series the image does not (their stale
+    values would survive the restore); the registry may then be partly
+    overwritten. *)
 
-val merge_packed : packed list -> (snapshot, string) result
-(** [merge] over packed snapshots without unpacking. Every image is
-    {!validate_packed}-checked before any is folded: corrupt input
-    yields [Error] with nothing half-merged. *)
+(** {2 Accumulation}
 
-(** {2 Streaming accumulation}
-
-    The single merge kernel shared by pairwise {!merge}, the fleet's
-    per-domain streaming accumulators, and cross-domain tree merges.
-    Steady-state [add_packed] into an existing accumulator allocates
-    nothing: scalars add in place and histogram pairs add into the
-    accumulated bucket arrays. *)
+    A registry is its own accumulator: {!Accum.t} {e is} {!t}, and
+    every add goes into the registry's own counter, gauge and
+    histogram records. [add_packed] builds no snapshot: scalars add in
+    place and histogram pairs add into the registry's bucket arrays. *)
 
 module Accum : sig
-  type t
+  type nonrec t = t
 
   val create : unit -> t
 
   val add : t -> snapshot -> unit
+
   val add_packed : t -> packed -> unit
+  (** Add a packed image through {!iter_packed}. [Invalid_argument] if
+      the image is damaged (images from {!packed_of} never are; check
+      external ones with {!validate_packed} first) or a name clashes
+      in type. *)
 
   val absorb : into:t -> t -> unit
-  (** Fold a partial accumulator into [into] (tree merge across
+  (** Add a whole registry's {!snapshot} into [into] (tree merge across
       domains). [src] is unchanged. *)
 
   val to_snapshot : t -> snapshot
-  (** Render the accumulated totals, sorted by name — byte-identical
-      for any grouping/order of the same inputs (see the associativity
-      contract on {!val-merge}). *)
+  (** {!snapshot}: the accumulated totals, sorted by name —
+      byte-identical for any grouping/order of the same inputs (see the
+      associativity contract on {!val-merge}). *)
 end
 
 val render_text : snapshot -> string

@@ -96,6 +96,8 @@ let add_packed t ~cohort p =
     ~counter:(fun _ v -> obs v)
     ~gauge:(fun _ v -> obs v)
     ~hist:(fun _ ~count ~sum:_ -> obs count)
+    ~bucket:(fun () _ _ -> ())
+  |> Result.iter_error invalid_arg
 
 let absorb ~into src =
   if Array.length into.r_cohorts <> Array.length src.r_cohorts then
@@ -257,7 +259,9 @@ let evaluate ?(outlier_k = 8) ?(outlier_floor = 64) t ~slos ~iter_boards =
       Metrics.iter_packed p
         ~counter:(fun _ v -> flag v)
         ~gauge:(fun _ v -> flag v)
-        ~hist:(fun _ ~count ~sum:_ -> flag count));
+        ~hist:(fun _ ~count ~sum:_ -> flag count)
+        ~bucket:(fun () _ _ -> ())
+      |> Result.iter_error invalid_arg);
   let rp_outliers = List.rev !outliers in
   let rp_verdict =
     List.fold_left (fun a c -> worst a c.ck_verdict) Healthy checks

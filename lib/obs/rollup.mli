@@ -24,7 +24,9 @@ val boards : t -> int
 (** Total boards folded in so far, across all cohorts. *)
 
 val add_packed : t -> cohort:int -> Metrics.packed -> unit
-(** Fold one retired board's packed metrics into its cohort. *)
+(** Fold one retired board's packed metrics into its cohort.
+    [Invalid_argument] if the image fails {!Metrics.validate_packed}'s
+    range checks (as does {!evaluate}'s outlier pass). *)
 
 val absorb : into:t -> t -> unit
 (** Fold a partial rollup into [into] (cross-domain tree merge);

@@ -258,6 +258,45 @@ let test_witness_rejects_corruption () =
           Flight.decode (flip art i)))
     (ends art)
 
+(* A witness whose kernel registry retypes a counter as a gauge still
+   decodes (re-encoding re-checksums the frame), so only the registry
+   restore's kind check stands between it and the board: thaw must end
+   in [Error], not raise and not succeed. *)
+let test_thaw_rejects_kind_clash () =
+  let original = build_sleepy () in
+  finish_to original 700_000 10_000;
+  let w = Tock.Kernel.freeze original.Tock_boards.Board.kernel in
+  let wt =
+    match Tock_obs.Codec.decode Tock.Witness.codec w with
+    | Ok wt -> wt
+    | Error e -> Alcotest.failf "witness decode: %s" e
+  in
+  let kreg = wt.Tock.Witness.w_kreg in
+  let sc = kreg.Tock_obs.Metrics.p_schema in
+  let rank =
+    match Array.find_index (( = ) "kernel.syscalls") sc.Tock_obs.Metrics.sc_names with
+    | Some i when sc.Tock_obs.Metrics.sc_kinds.[i] = 'c' -> i
+    | _ -> Alcotest.fail "witness lacks counter kernel.syscalls"
+  in
+  let retyped =
+    Tock_obs.Codec.encode Tock.Witness.codec
+      { wt with
+        Tock.Witness.w_kreg =
+          { kreg with
+            Tock_obs.Metrics.p_schema =
+              { sc with
+                Tock_obs.Metrics.sc_kinds =
+                  String.mapi (fun i k -> if i = rank then 'g' else k) sc.sc_kinds } } }
+  in
+  let b = build_sleepy () in
+  match
+    Tock.Kernel.thaw b.Tock_boards.Board.kernel ~cap:b.Tock_boards.Board.main_cap
+      retyped
+  with
+  | Ok () -> Alcotest.fail "thaw accepted a retyped registry series"
+  | Error e -> check_contains ~msg:"kernel registry diagnostic" e "kernel registry"
+  | exception e -> Alcotest.failf "thaw raised %s" (Printexc.to_string e)
+
 (* The freeze/thaw subjects: three app mixes, by shape. *)
 let build_case (shape, period, _park_at, seed) =
   let sim =
@@ -678,6 +717,8 @@ let suite =
       test_thaw_determinism;
     Alcotest.test_case "corrupt witnesses rejected as Error" `Quick
       test_witness_rejects_corruption;
+    Alcotest.test_case "thaw rejects a retyped registry series" `Quick
+      test_thaw_rejects_kind_clash;
     prop_freeze_thaw_contract;
     Alcotest.test_case "thaw just before a timer event" `Quick
       test_thaw_just_before_timer_event;

@@ -274,9 +274,11 @@ let test_merge_sums () =
 
    Random metric sets over a fixed name/kind universe (kinds must agree
    across snapshots for a merge to be well-typed): pairwise merge,
-   streaming accumulation, a two-way tree merge, and the packed-input
-   merge must all produce the identical snapshot — the associativity
-   contract the fleet's streaming per-domain merge rests on. *)
+   streaming accumulation, a two-way tree merge, and packed-input
+   accumulation must all equal the test-side reference sum
+   ([Merge_oracle.sum], no code shared with the library) — the
+   associativity contract the fleet's streaming per-domain merge rests
+   on. *)
 
 let gen_metric_specs =
   (* Each snapshot: up to 12 (series index, value) events; each fleet:
@@ -301,10 +303,10 @@ let qcheck_merge_kernel_equivalence =
   qcheck "pairwise == streaming == tree == packed merge" gen_metric_specs
     (fun specs ->
       let snaps = List.map snapshot_of_spec specs in
-      let reference = Metrics.merge snaps in
-      let streaming =
+      let reference = Merge_oracle.sum snaps in
+      let accumulate add inputs =
         let a = Metrics.Accum.create () in
-        List.iter (Metrics.Accum.add a) snaps;
+        List.iter (add a) inputs;
         Metrics.Accum.to_snapshot a
       in
       let tree =
@@ -319,8 +321,11 @@ let qcheck_merge_kernel_equivalence =
         Metrics.Accum.absorb ~into:left right;
         Metrics.Accum.to_snapshot left
       in
-      let packed = Metrics.merge_packed (List.map Metrics.pack snaps) in
-      reference = streaming && reference = tree && Ok reference = packed)
+      reference = Metrics.merge snaps
+      && reference = accumulate Metrics.Accum.add snaps
+      && reference = tree
+      && reference
+         = accumulate Metrics.Accum.add_packed (List.map Metrics.pack snaps))
 
 let qcheck_pack_roundtrip =
   qcheck "pack/unpack round-trips any snapshot" gen_metric_specs
@@ -494,7 +499,7 @@ let test_packed_golden_bytes () =
    External packed bytes (park buffers, flight artifacts) must never
    crash the reader: every truncation and every single-byte flip comes
    back [Ok] or [Error] from the whole entry surface
-   ([packed_of_string], [unpack], [validate_packed], [merge_packed]) —
+   ([packed_of_string], [unpack], [validate_packed]) —
    never an exception. *)
 
 let test_packed_rejects_corruption () =
@@ -555,17 +560,73 @@ let test_packed_rejects_corruption () =
     (Result.is_error (Metrics.validate_packed torn));
   Alcotest.(check bool) "torn blob fails unpack" true
     (Result.is_error (Metrics.unpack torn));
-  (* merge_packed validates every input before folding any *)
-  (match Metrics.merge_packed [ p; torn ] with
-  | Error e ->
-      Alcotest.(check bool) "merge diagnostic not empty" true
-        (String.length e > 0)
-  | Ok _ -> Alcotest.fail "merge_packed accepted a torn image"
-  | exception e ->
-      Alcotest.failf "merge_packed raised %s" (Printexc.to_string e));
-  match Metrics.merge_packed [ p; p ] with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "merge_packed rejected clean images: %s" e
+  (* an offset near max_int must fail the range check, not overflow it *)
+  List.iter
+    (fun off ->
+      let b = Bytes.of_string p.Metrics.p_blob in
+      let rank = String.index p.Metrics.p_schema.Metrics.sc_kinds 'h' in
+      Bytes.set_int64_le b (8 * rank) (Int64.of_int off);
+      Alcotest.(check bool) "far histogram offset fails validation" true
+        (Result.is_error
+           (Metrics.validate_packed { p with Metrics.p_blob = Bytes.to_string b })))
+    [ max_int - 2; max_int - 1; max_int ];
+  (* names out of order could carry one series twice *)
+  let twice =
+    let sc = p.Metrics.p_schema in
+    { p with
+      Metrics.p_schema =
+        { sc with Metrics.sc_names = Array.map (fun _ -> "k.same") sc.sc_names } }
+  in
+  Alcotest.(check bool) "repeated name fails validation" true
+    (Result.is_error (Metrics.validate_packed twice))
+
+(* ---- restore_packed: the thaw side, fed untrusted images ---- *)
+
+let test_restore_packed () =
+  let src = Metrics.create () in
+  Metrics.add (Metrics.counter src "k.calls") 12;
+  Metrics.set (Metrics.gauge src "k.live") 3;
+  List.iter (Metrics.observe (Metrics.histogram src "k.lat")) [ 1; 9; 9; 300 ];
+  let p = Metrics.packed_of src in
+  let expect_error what f =
+    match f () with
+    | Ok () -> Alcotest.failf "%s: accepted" what
+    | Error e -> Alcotest.(check bool) (what ^ ": diagnostic") true (e <> "")
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  (* Overwrite, not add: values already in the registry are replaced,
+     through the handles its owners hold. *)
+  let dst = Metrics.create () in
+  let calls = Metrics.counter dst "k.calls" in
+  Metrics.add calls 1000;
+  Metrics.set (Metrics.gauge dst "k.live") 77;
+  List.iter (Metrics.observe (Metrics.histogram dst "k.lat")) [ 5; 70_000 ];
+  Alcotest.(check bool) "restore ok" true (Metrics.restore_packed dst p = Ok ());
+  Alcotest.(check bool) "values overwritten" true
+    (Metrics.snapshot dst = Metrics.snapshot src);
+  Alcotest.(check int) "held handle sees the image" 12 (Metrics.counter_value calls);
+  (* Series the registry lacks are created. *)
+  let fresh = Metrics.create () in
+  Alcotest.(check bool) "restore into empty ok" true
+    (Metrics.restore_packed fresh p = Ok ());
+  Alcotest.(check bool) "series created" true
+    (Metrics.snapshot fresh = Metrics.snapshot src);
+  let clash = Metrics.create () in
+  ignore (Metrics.gauge clash "k.calls");
+  expect_error "kind clash" (fun () -> Metrics.restore_packed clash p);
+  let stale = Metrics.create () in
+  ignore (Metrics.counter stale "k.extra");
+  expect_error "series absent from the image" (fun () ->
+      Metrics.restore_packed stale p);
+  expect_error "torn image" (fun () ->
+      Metrics.restore_packed (Metrics.create ())
+        { p with Metrics.p_blob = String.sub p.Metrics.p_blob 0 16 });
+  expect_error "repeated name" (fun () ->
+      Metrics.restore_packed (Metrics.create ())
+        { p with
+          Metrics.p_schema =
+            { p.Metrics.p_schema with
+              Metrics.sc_names = Array.map (fun _ -> "k.calls") p.Metrics.p_schema.Metrics.sc_names } })
 
 let test_merge_type_clash () =
   let ra = Metrics.create () and rb = Metrics.create () in
@@ -750,9 +811,15 @@ let test_fleet_merge_deterministic () =
     { Fleet.default with Fleet.boards = 4; group_size = 1; cycles = 200_000 }
   in
   let render d =
-    Metrics.render_json
-      (Merge_oracle.merged_metrics
-         (Fleet.run_fleet { cfg with Fleet.domains = d }).Fleet.fr_stats)
+    let r = Fleet.run_fleet { cfg with Fleet.domains = d } in
+    let oracle =
+      Metrics.render_json (Merge_oracle.merged_metrics r.Fleet.fr_stats)
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "fr_metrics == reference sum @ %d domains" d)
+      oracle
+      (Metrics.render_json r.Fleet.fr_metrics);
+    oracle
   in
   let one = render 1 in
   Alcotest.(check string) "2 domains" one (render 2);
@@ -887,6 +954,8 @@ let suite =
     Alcotest.test_case "packed codec rejects corruption" `Quick
       test_packed_rejects_corruption;
     Alcotest.test_case "merge type clash" `Quick test_merge_type_clash;
+    Alcotest.test_case "restore_packed overwrites, creates, rejects" `Quick
+      test_restore_packed;
     Alcotest.test_case "render_json parses" `Quick test_render_json_parses;
     Alcotest.test_case "trace ring drop accounting" `Quick test_trace_drops;
     Alcotest.test_case "trace disabled is free" `Quick test_trace_disabled;
