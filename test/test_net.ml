@@ -16,20 +16,32 @@ let test_crc16_vector () =
   Alcotest.(check bool) "bit flip detected" true
     (Crc16.digest b ~off:0 ~len:9 <> c0)
 
+(* A random window of a random buffer: any offset, and lengths of every
+   residue mod 4 so the slicing-by-4 kernel's byte-table tail runs. *)
+let crc16_window_gen =
+  QCheck2.Gen.(
+    map
+      (fun (s, a, c) ->
+        let b = Bytes.of_string s in
+        let off = a mod (Bytes.length b + 1) in
+        (b, off, c mod (Bytes.length b - off + 1)))
+      (triple (string_size (0 -- 300)) nat nat))
+
 let crc16_reference_equiv_prop =
   (* The one production kernel (slicing-by-4 with a byte-table tail)
-     must agree with the retained bit-wise oracle on arbitrary windows —
-     any offset, lengths of every residue mod 4 so the tail runs — and
-     from any incoming state, as the scatter-gather fold threads it. *)
-  qcheck "crc16: table-driven == bit-wise reference"
-    QCheck2.Gen.(
-      quad (string_size (0 -- 300)) nat nat (int_bound 0xFFFF))
-    (fun (s, a, c, state) ->
-      let b = Bytes.of_string s in
-      let off = a mod (Bytes.length b + 1) in
-      let len = c mod (Bytes.length b - off + 1) in
-      Crc16.digest b ~off ~len = Crc16.Reference.digest b ~off ~len
-      && Crc16.update state b ~off ~len = Crc16.Reference.update state b ~off ~len)
+     must agree with the retained bit-wise oracle on arbitrary windows. *)
+  qcheck "crc16: table-driven == bit-wise reference" crc16_window_gen
+    (fun (b, off, len) ->
+      Crc16.digest b ~off ~len = Crc16.Reference.digest b ~off ~len)
+
+let crc16_fast_equiv_prop =
+  (* [Crc16.update] (formerly [update_fast]) from any incoming state, as
+     the scatter-gather fold threads it across iovec segments. *)
+  qcheck "crc16: slicing-by-4 update_fast == bit-wise reference"
+    QCheck2.Gen.(pair crc16_window_gen (int_bound 0xFFFF))
+    (fun ((b, off, len), state) ->
+      Crc16.update state b ~off ~len
+      = Crc16.Reference.update state b ~off ~len)
 
 let two_nodes ?(loss_prob = 0.0) () =
   let net = Tock_boards.Signpost_board.create ~loss_prob ~nodes:2 () in
@@ -391,6 +403,7 @@ let suite =
   [
     Alcotest.test_case "crc16 vector" `Quick test_crc16_vector;
     crc16_reference_equiv_prop;
+    crc16_fast_equiv_prop;
     Alcotest.test_case "reliable over 30% loss" `Quick test_reliable_over_lossy_medium;
     Alcotest.test_case "gives up without receiver" `Quick test_gives_up_without_receiver;
     Alcotest.test_case "broadcast" `Quick test_broadcast_fire_and_forget;
