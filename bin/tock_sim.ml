@@ -229,47 +229,51 @@ let fleet_cmd boards domains group_size cycles batch seed park park_min_quanta
       fault_board;
     }
   in
-  let t0 = Unix.gettimeofday () in
-  let result = Tock_fleet.Fleet.run_fleet cfg in
-  let stats = result.Tock_fleet.Fleet.fr_stats
-  and sched = result.Tock_fleet.Fleet.fr_sched in
-  let wall = Unix.gettimeofday () -. t0 in
-  if not quiet then
-    Array.iter
-      (fun bs -> Format.printf "%a@." Tock_fleet.Fleet.pp_board_stats bs)
-      stats;
-  let cycles_total = Tock_fleet.Fleet.total_cycles stats in
-  Printf.printf
-    "fleet: %d boards (%d groups) on %d domain(s): %d cycles, %d syscalls, \
-     %.3fs wall, %.2e cycles/s\n"
-    boards
-    (Tock_fleet.Fleet.group_count cfg)
-    domains cycles_total
-    (Tock_fleet.Fleet.total_syscalls stats)
-    wall
-    (float_of_int cycles_total /. wall);
-  if metrics then begin
-    Printf.printf "--- scheduler ---\n%s" (Tock_obs.Metrics.render_text sched);
-    Printf.printf "--- fleet metrics (all boards) ---\n%s"
-      (Tock_obs.Metrics.render_text result.Tock_fleet.Fleet.fr_metrics)
-  end;
-  (match result.Tock_fleet.Fleet.fr_health with
-  | Some rp -> print_string (Tock_fleet.Fleet.Rollup.render_text rp)
-  | None -> ());
-  (match (trace_out, result.Tock_fleet.Fleet.fr_trace_json) with
-  | Some path, Some json ->
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "trace: %d domain lane(s) + %d board lane(s) -> %s\n"
-        (min domains (Tock_fleet.Fleet.group_count cfg))
-        (min boards trace_boards) path
-  | _ -> ());
-  List.iter
-    (fun (path, a) ->
-      Printf.printf "flight: %s (%s)\n" path
-        (Tock_fleet.Flight.describe_cause a.Tock_fleet.Flight.fa_cause))
-    result.Tock_fleet.Fleet.fr_flights
+  match Tock_fleet.Fleet.check_config cfg with
+  | Error why -> `Error (true, why)
+  | Ok () ->
+      let t0 = Unix.gettimeofday () in
+      let result = Tock_fleet.Fleet.run_fleet cfg in
+      let stats = result.Tock_fleet.Fleet.fr_stats
+      and sched = result.Tock_fleet.Fleet.fr_sched in
+      let wall = Unix.gettimeofday () -. t0 in
+      if not quiet then
+        Array.iter
+          (fun bs -> Format.printf "%a@." Tock_fleet.Fleet.pp_board_stats bs)
+          stats;
+      let cycles_total = Tock_fleet.Fleet.total_cycles stats in
+      Printf.printf
+        "fleet: %d boards (%d groups) on %d domain(s): %d cycles, %d syscalls, \
+         %.3fs wall, %.2e cycles/s\n"
+        boards
+        (Tock_fleet.Fleet.group_count cfg)
+        domains cycles_total
+        (Tock_fleet.Fleet.total_syscalls stats)
+        wall
+        (float_of_int cycles_total /. wall);
+      if metrics then begin
+        Printf.printf "--- scheduler ---\n%s" (Tock_obs.Metrics.render_text sched);
+        Printf.printf "--- fleet metrics (all boards) ---\n%s"
+          (Tock_obs.Metrics.render_text result.Tock_fleet.Fleet.fr_metrics)
+      end;
+      (match result.Tock_fleet.Fleet.fr_health with
+      | Some rp -> print_string (Tock_fleet.Fleet.Rollup.render_text rp)
+      | None -> ());
+      (match (trace_out, result.Tock_fleet.Fleet.fr_trace_json) with
+      | Some path, Some json ->
+          let oc = open_out path in
+          output_string oc json;
+          close_out oc;
+          Printf.printf "trace: %d domain lane(s) + %d board lane(s) -> %s\n"
+            (min domains (Tock_fleet.Fleet.group_count cfg))
+            (min boards trace_boards) path
+      | _ -> ());
+      List.iter
+        (fun (path, a) ->
+          Printf.printf "flight: %s (%s)\n" path
+            (Tock_fleet.Flight.describe_cause a.Tock_fleet.Flight.fa_cause))
+        result.Tock_fleet.Fleet.fr_flights;
+      `Ok ()
 
 (* ---- postmortem ---- *)
 
@@ -379,7 +383,7 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
 
 let nodes_arg =
-  Arg.(value & opt int 3 & info [ "nodes" ] ~docv:"N" ~doc:"Sensor nodes (plus one gateway).")
+  Arg.(value & opt (int_at_least 0) 3 & info [ "nodes" ] ~docv:"N" ~doc:"Sensor nodes (plus one gateway).")
 
 let strace_arg =
   Arg.(value & flag & info [ "strace" ] ~doc:"Trace every system call.")
@@ -423,8 +427,9 @@ let quiet_arg =
 let park_arg =
   Arg.(value & flag & info [ "park" ]
        ~doc:"Park long-sleeping boards as compact byte witnesses and \
-             resume them by direct thaw (verified replay as fallback); \
-             results are byte-identical either way.")
+             resume them by direct thaw; only boards whose every live \
+             app sits at its checkpoint sleep park. Results are \
+             byte-identical either way.")
 
 let park_min_quanta_arg =
   Arg.(value & opt positive_int Tock_fleet.Fleet.default.Tock_fleet.Fleet.park_min_quanta
@@ -450,15 +455,17 @@ let trace_boards_arg =
              per-board trace rings, exported as extra Perfetto lanes.")
 
 let flight_dir_arg =
-  Arg.(value & opt (some string) None & info [ "flight-dir" ] ~docv:"DIR"
+  Arg.(value & opt (some dir) None & info [ "flight-dir" ] ~docv:"DIR"
        ~doc:"Arm the fault flight recorder: process faults, kernel \
              panics, and SLO breaches capture TCKFLT02 postmortem \
-             artifacts into DIR (inspect with `tock_sim postmortem`).")
+             artifacts into DIR, which must exist (inspect with \
+             `tock_sim postmortem`).")
 
 let fault_board_arg =
   Arg.(value & opt (some int) None & info [ "fault-board" ] ~docv:"B"
-       ~doc:"Deliberately run board B with only the fault-injector app \
-             (stop-on-fault), to exercise the flight recorder.")
+       ~doc:"Deliberately run board B (0 <= B < boards) with only the \
+             fault-injector app (stop-on-fault), to exercise the flight \
+             recorder.")
 
 let postmortem_file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
@@ -471,7 +478,7 @@ let run_t =
 let signpost_t = Term.(const signpost_cmd $ nodes_arg $ seconds_arg $ seed_arg)
 
 let fleet_t =
-  Term.(const fleet_cmd $ boards_arg $ domains_arg $ group_size_arg
+  Term.ret @@ Term.(const fleet_cmd $ boards_arg $ domains_arg $ group_size_arg
         $ cycles_arg $ batch_arg $ seed_arg $ park_arg $ park_min_quanta_arg
         $ verify_park_arg $ quiet_arg $ metrics_arg $ health_arg
         $ trace_out_arg $ trace_boards_arg $ flight_dir_arg $ fault_board_arg)

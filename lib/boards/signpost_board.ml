@@ -26,27 +26,7 @@ let drain_node n =
   let worked = ref false in
   let rec drain budget =
     if budget > 0 then
-      let chip = b.Board.chip in
-      let has_irq = Tock_hw.Irq.has_pending chip.Tock_hw.Chip.irq in
-      let has_deferred =
-        Tock.Deferred_call.has_pending (Tock.Kernel.deferred k)
-      in
-      let has_proc =
-        List.exists
-          (fun p ->
-            match Tock.Process.state p with
-            | Tock.Process.Runnable -> true
-            | Tock.Process.Yielded -> Tock.Process.has_pending_upcalls p
-            | Tock.Process.Yielded_for w ->
-                Tock.Process.has_upcall_for p ~driver:w.driver
-                  ~subscribe_num:w.subscribe_num
-            | Tock.Process.Blocked_command w ->
-                Tock.Process.has_upcall_for p ~driver:w.driver
-                  ~subscribe_num:w.subscribe_num
-            | _ -> false)
-          (Tock.Kernel.processes k)
-      in
-      if has_irq || has_deferred || has_proc then begin
+      if Tock.Kernel.has_work k then begin
         (match Tock.Kernel.step k ~cap:b.Board.main_cap with
         | `Worked -> worked := true
         | `Slept | `Stalled -> ());

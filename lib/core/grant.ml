@@ -8,19 +8,19 @@ type 'a t = {
   key : 'a entry Univ.key;
 }
 
-(* Atomic: grants are created and entered from whichever domain runs the
-   owning board (the fleet runner shards boards across domains). *)
-let next_gid = Atomic.make 0
-
+(* Atomic: grants are entered from whichever domain runs the owning
+   board (the fleet runner shards boards across domains). *)
 let refused = Atomic.make 0
 
+(* A grant is keyed by its name in each process's table, and its traced
+   id is a hash of that name: both are fixed by the board, never by how
+   many grants other boards in the same host process created first. *)
 let create ~cap:_ ~name ~size_bytes ~init =
   if size_bytes < 0 then invalid_arg "Grant.create";
-  let gid = 1 + Atomic.fetch_and_add next_gid 1 in
-  { gid; g_name = name; size = size_bytes; init; key = Univ.new_key () }
+  { gid = Hashtbl.hash name; g_name = name; size = size_bytes; init; key = Univ.new_key () }
 
 let lookup t proc =
-  match Hashtbl.find_opt (Process.grant_table proc) t.gid with
+  match Hashtbl.find_opt (Process.grant_table proc) t.g_name with
   | Some packed -> Univ.project t.key packed
   | None -> None
 
@@ -31,7 +31,7 @@ let enter t proc f =
     | None ->
         if Process.allocate_grant_bytes proc t.size then begin
           let e = { value = t.init (); entered = false } in
-          Hashtbl.replace (Process.grant_table proc) t.gid (Univ.inject t.key e);
+          Hashtbl.replace (Process.grant_table proc) t.g_name (Univ.inject t.key e);
           Some e
         end
         else None
@@ -75,7 +75,7 @@ let preallocate t proc =
   | Some _ -> true
   | None ->
       if Process.allocate_grant_bytes proc t.size then begin
-        Hashtbl.replace (Process.grant_table proc) t.gid
+        Hashtbl.replace (Process.grant_table proc) t.g_name
           (Univ.inject t.key { value = t.init (); entered = false });
         true
       end

@@ -23,7 +23,9 @@ val create :
   init:(unit -> 'a) ->
   'a t
 (** [size_bytes] is what the instance costs a process's grant region —
-    the accounting analogue of the Rust type's size. *)
+    the accounting analogue of the Rust type's size. [name] keys the
+    instance in each process (as it keys grants in a board witness), so
+    grants entered for one process need distinct names. *)
 
 val enter : 'a t -> Process.t -> ('a -> 'b) -> ('b, Error.t) result
 (** Allocate-if-needed, then run the closure on the process's instance.

@@ -688,6 +688,11 @@ let deliverable pe =
   | Process.Stopped _ ->
       false
 
+let has_work t =
+  Tock_hw.Irq.has_pending t.k_chip.Tock_hw.Chip.irq
+  || Deferred_call.has_pending t.k_deferred
+  || Array.exists deliverable t.table
+
 let run_slice t pe timeslice =
   let proc = pe.proc in
   let pid = Process.id proc in
@@ -919,8 +924,12 @@ let run_to_completion t ~cap ?(max_cycles = 2_000_000_000) () =
 
    Process executions are effect continuations — they cannot be
    serialized. A parked board is captured as a compact byte *witness*
-   (see [Witness] for the image and its format). Two ways back from a
-   witness:
+   (see [Witness] for the image and its format). Each process captures
+   and restores its own state ([Process.image], [Process.prepare_thaw],
+   [Process.restore_image]); the kernel adds and puts back only what it
+   owns: clock and event schedule, the process table's pending resumes
+   and grant layout, freezer sections and registries. Two ways back
+   from a witness:
 
    - [restore] (replay): rebuild the board from its deterministic
      construction recipe and re-run it to the witness clock with the
@@ -930,7 +939,7 @@ let run_to_completion t ~cap ?(max_cycles = 2_000_000_000) () =
    - [thaw] (direct materialization): rebuild the board, let each
      resumable app's factory fast-forward through its checkpoint
      (re-entering the recorded sleep so the continuation suspends in
-     the frozen shape), then patch every other observable back from the
+     the frozen shape), then put every other observable back from the
      witness. O(state), independent of how long the board ran. [thaw]
      returns [Error] for a corrupt witness, a board not frozen in a
      thawable disposition (see [thawable]), or anything that fails to
@@ -938,51 +947,14 @@ let run_to_completion t ~cap ?(max_cycles = 2_000_000_000) () =
 
 let proc_image t pe =
   let p = pe.proc in
-  let collect iter =
-    let l = ref [] in
-    iter (fun x -> l := x :: !l);
-    !l
-  in
-  let gen, caches = Process.mpu_cache_state p in
   {
     Witness.wp_name = Process.name p;
-    wp_state = Process.state p;
     wp_resume = pe.pending_resume;
-    wp_restarts = Process.restart_count p;
-    wp_syscalls = Process.syscall_count p;
-    wp_grant_enters = Process.grant_enter_count p;
-    wp_grant_bytes = Process.grant_bytes_used p;
-    wp_app_break = Process.app_break p;
-    wp_kernel_break = Process.kernel_break p;
-    wp_upcall_drops = Process.upcalls_dropped p;
-    wp_mpu_scans = Process.mpu_scan_count p;
-    wp_ckpt = Process.checkpoint p;
-    wp_at_sleep = Process.at_sleep p;
-    wp_mpu_gen = gen;
-    wp_mpu_caches = caches;
-    wp_residue = Option.map (fun br -> br.Process.br_residue ()) (Process.bridge p);
-    wp_classes =
-      List.sort compare
-        (collect (fun k ->
-             Process.iter_syscall_classes p (fun ~class_num ~count ->
-                 k (class_num, count))));
     (* Registry order is name order, so thaw preallocates in a fixed
        order and reproduces kernel_break exactly. *)
     wp_grants =
       List.filter_map (fun (n, _, alloc) -> if alloc p then Some n else None) t.k_grants;
-    wp_subs =
-      List.sort compare
-        (collect (fun k ->
-             Process.iter_subscriptions p (fun ~driver ~subscribe_num up ->
-                 k (driver, subscribe_num, up))));
-    wp_allows =
-      List.sort compare
-        (collect (fun k ->
-             Process.iter_allows p (fun ~kind ~driver ~allow_num e ->
-                 k ((kind, driver, allow_num), (e.Process.a_addr, e.Process.a_len)))));
-    (* Delivery order: FIFO position is state. *)
-    wp_pending = List.rev (collect (Process.iter_pending_upcalls p));
-    wp_ram = Witness.ram_of_bytes (Process.ram_bytes p);
+    wp_image = Process.image p;
   }
 
 let freeze ?buf t =
@@ -1048,41 +1020,7 @@ let restore t ~cap witness =
 
 (* ---- direct materialization (thaw) ---- *)
 
-let is_live (s : Process.state) =
-  match s with
-  | Process.Runnable | Process.Yielded | Process.Yielded_for _
-  | Process.Blocked_command _ ->
-      true
-  | Process.Unstarted | Process.Faulted _ | Process.Terminated _
-  | Process.Stopped _ ->
-      false
-
-(* Why a process in this disposition cannot be thawed ([None] if it
-   can) — the one check behind both [thawable] and [thaw]. A live
-   process must be resumable: checkpointed, parked at its checkpoint
-   sleep, and plainly [Yielded]. Frozen at any other yield (I/O wait,
-   busy-retry nap), every witnessed byte could still match after a
-   thaw while the rebuilt continuation sits elsewhere. Stopped and
-   unstarted processes need a live execution thaw cannot rebuild. Dead
-   ones are fine: thaw keeps the corpse. *)
-let unthawable (state : Process.state) ~checkpoint ~at_sleep =
-  match state with
-  | Process.Stopped _ -> Some "frozen stopped"
-  | Process.Unstarted -> Some "frozen unstarted"
-  | s when not (is_live s) -> None
-  | _ when checkpoint = 0 -> Some "live but never checkpointed"
-  | _ when not at_sleep -> Some "frozen outside its checkpoint sleep"
-  | Process.Yielded -> None
-  | _ -> Some "frozen in unresumable state"
-
-let thawable t =
-  Array.for_all
-    (fun pe ->
-      let p = pe.proc in
-      unthawable (Process.state p) ~checkpoint:(Process.checkpoint p)
-        ~at_sleep:(Process.at_sleep p)
-      = None)
-    t.table
+let thawable t = Array.for_all (fun pe -> Process.thawable pe.proc) t.table
 
 exception Mismatch of string
 
@@ -1129,29 +1067,20 @@ let thaw t ~cap witness =
             wt.w_sections
         in
         (* Phase 1: process dispositions and grant layout. Live
-           processes must be resumable (see [unthawable]); dead ones
-           lose their execution now so the prologue pass never runs
-           them. Grants are preallocated in recorded order so kernel
-           breaks land where the witness says — the [`Pre] loads run
-           first because the alarm section's ordered allocation also
-           installs the resume alarms. *)
+           processes must be resumable (see [Process.thawable]); dead
+           ones lose their execution now so the prologue pass never
+           runs them. Grants are preallocated in recorded order so
+           kernel breaks land where the witness says — the [`Pre] loads
+           run first because the alarm section's ordered allocation
+           also installs the resume alarms. *)
         load_phase `Pre;
         List.iter
           (fun (pe, (wp : Witness.proc)) ->
             let p = pe.proc in
-            Process.set_checkpoint p wp.wp_ckpt;
-            (match
-               unthawable wp.wp_state ~checkpoint:wp.wp_ckpt
-                 ~at_sleep:wp.wp_at_sleep
-             with
-            | Some why -> fail "process %s %s" wp.wp_name why
-            | None ->
-                if not (is_live wp.wp_state) then begin
-                  (* Dead: never run the factory, keep the corpse. *)
-                  Process.destroy_execution p;
-                  pe.pending_resume <- None;
-                  Process.set_state p wp.wp_state
-                end);
+            (match Process.prepare_thaw p wp.wp_image with
+            | Error why -> fail "process %s %s" wp.wp_name why
+            | Ok `Dead -> pe.pending_resume <- None
+            | Ok `Live -> ());
             List.iter
               (fun gname ->
                 match
@@ -1190,103 +1119,12 @@ let thaw t ~cap witness =
            instant. *)
         Tock_hw.Sim.warp s ~now:wt.w_now ~active_cycles:wt.w_active
           ~sleep_cycles:wt.w_sleep ~rng_state:wt.w_rng;
-        (* Phase 3: patch every process back to the frozen image. *)
+        (* Phase 3: every process puts its own image back. *)
         List.iter
           (fun (pe, (wp : Witness.proc)) ->
-            let p = pe.proc in
-            let live = is_live wp.wp_state in
-            if live then begin
-              if not (Process.has_execution p) then
-                fail "process %s lost its execution in the prologue"
-                  wp.wp_name;
-              (match Process.state p with
-              | Process.Yielded -> ()
-              | _ ->
-                  fail "process %s did not settle into Yielded" wp.wp_name);
-              (* Rebind the prologue's live upcall closures to the
-                 frozen function ids before the wholesale table
-                 restore makes those ids current. *)
-              let live_subs = Hashtbl.create 8 in
-              Process.iter_subscriptions p (fun ~driver ~subscribe_num up ->
-                  if up.Process.fnptr <> 0 then
-                    Hashtbl.replace live_subs (driver, subscribe_num)
-                      up.Process.fnptr);
-              List.iter
-                (fun (d, sn, { Process.fnptr; _ }) ->
-                  if fnptr <> 0 then
-                    match Hashtbl.find_opt live_subs (d, sn) with
-                    | Some lf when lf = fnptr -> ()
-                    | Some lf -> (
-                        match Process.bridge p with
-                        | None ->
-                            fail "process %s has no emulator bridge"
-                              wp.wp_name
-                        | Some br ->
-                            if
-                              not
-                                (br.Process.br_remap_upcall ~old_id:lf
-                                   ~new_id:fnptr)
-                            then
-                              fail "process %s: upcall remap %d->%d failed"
-                                wp.wp_name lf fnptr)
-                    | None ->
-                        fail
-                          "process %s: no live closure for driver %d sub %d"
-                          wp.wp_name d sn)
-                wp.wp_subs
-            end;
-            Process.clear_syscall_tables p;
-            List.iter
-              (fun (d, sn, up) ->
-                Process.restore_subscription p ~driver:d ~subscribe_num:sn up)
-              wp.wp_subs;
-            if
-              not
-                (Process.restore_breaks p ~app_break:wp.wp_app_break
-                   ~kernel_break:wp.wp_kernel_break)
-            then fail "process %s: frozen breaks rejected" wp.wp_name;
-            List.iter
-              (fun ((kind, driver, allow_num), (addr, len)) ->
-                if not (Process.restore_allow p ~kind ~driver ~allow_num ~addr ~len)
-                then
-                  fail "process %s: allow %d/%d does not resolve" wp.wp_name
-                    driver allow_num)
-              wp.wp_allows;
-            List.iter
-              (fun pu ->
-                if not (Process.restore_pending_upcall p pu) then
-                  fail "process %s: pending-upcall overflow" wp.wp_name)
-              wp.wp_pending;
-            let ram = Process.ram_bytes p in
-            if Bytes.length ram <> wp.wp_ram.ram_len then
-              fail "process %s: RAM size %d <> witness %d" wp.wp_name
-                (Bytes.length ram) wp.wp_ram.ram_len;
-            Bytes.fill ram 0 (Bytes.length ram) '\x00';
-            List.iter
-              (fun (off, data) ->
-                Bytes.blit_string data 0 ram off (String.length data))
-              wp.wp_ram.ram_runs;
-            Process.restore_counters p ~restarts:wp.wp_restarts
-              ~syscalls:wp.wp_syscalls ~grant_enters:wp.wp_grant_enters;
-            Process.restore_mpu_scans p wp.wp_mpu_scans;
-            Process.restore_mpu_cache p ~generation:wp.wp_mpu_gen
-              ~caches:wp.wp_mpu_caches;
-            Process.set_at_sleep p wp.wp_at_sleep;
-            List.iter
-              (fun (c, n) ->
-                Process.restore_syscall_class p ~class_num:c ~count:n)
-              wp.wp_classes;
-            Process.set_upcall_drops p wp.wp_upcall_drops;
-            (match (Process.bridge p, wp.wp_residue) with
-            | Some br, Some res -> br.Process.br_set_residue res
-            | _, None -> ()
-            | None, Some _ ->
-                fail "process %s has no emulator bridge" wp.wp_name);
-            pe.pending_resume <- wp.wp_resume;
-            Process.set_state p wp.wp_state;
-            if Process.grant_bytes_used p <> wp.wp_grant_bytes then
-              fail "process %s: grant bytes %d <> witness %d" wp.wp_name
-                (Process.grant_bytes_used p) wp.wp_grant_bytes)
+            match Process.restore_image pe.proc wp.wp_image with
+            | Ok () -> pe.pending_resume <- wp.wp_resume
+            | Error e -> fail "process %s: %s" wp.wp_name e)
           pairs;
         load_phase `Post;
         (* Structural check: the prologues must have rebuilt the frozen

@@ -242,6 +242,12 @@ val process_name_of : t -> Process.id -> string option
 
 (** {2 The main loop} *)
 
+val has_work : t -> bool
+(** Whether the kernel has something to run now: a pending interrupt, a
+    pending deferred call, or a process with a deliverable slice. When
+    false, {!step} would sleep or stall; boards sharing one clock probe
+    this before stepping so no kernel sleeps the clock alone. *)
+
 val step : t -> cap:Capability.main_loop -> [ `Worked | `Slept | `Stalled ]
 (** One iteration: interrupts, deferred calls, then either run one
     process slice, sleep to the next hardware event, or report [`Stalled]
@@ -341,11 +347,11 @@ val thaw : t -> cap:Capability.main_loop -> string -> (unit, string) result
     frozen instant, run each live process's factory prologue to
     quiescence with the clock held there (resumable apps skip
     completed iterations and re-enter the recorded sleep — see
-    [Apps]), patch processes wholesale (upcall-id remap,
-    subscriptions, allows, pending upcalls, breaks, RAM, counters,
-    emulator residue), run [`Post] freezer
-    loads, verify the rebuilt event schedule against the witness, and
-    overwrite both metrics registries. On success, [freeze t = w].
+    [Apps]), let every process put its own image back
+    ({!Process.restore_image}: upcall-id remap, subscriptions, allows,
+    pending upcalls, breaks, RAM, counters, emulator residue), run
+    [`Post] freezer loads, verify the rebuilt event schedule against the
+    witness, and overwrite both metrics registries. On success, [freeze t = w].
     [Error] — with the board left in an unspecified half-patched state
     that must be discarded — for a corrupt witness, a board frozen in a
     disposition {!thawable} rejects, or anything else that fails to
@@ -354,8 +360,8 @@ val thaw : t -> cap:Capability.main_loop -> string -> (unit, string) result
 
 val thawable : t -> bool
 (** Whether {!thaw} will accept a witness of the board as it stands:
-    every live process is checkpointed, sits at its checkpoint sleep
-    and is [Yielded], and no process is [Stopped] or [Unstarted]. This
-    is the disposition check [thaw] itself runs on the witness, so a
-    caller that freezes only thawable boards never needs {!restore} to
-    resume them. *)
+    every process is {!Process.thawable} (each live one is checkpointed,
+    sits at its checkpoint sleep and is [Yielded]; none is [Stopped] or
+    [Unstarted]). This is the disposition check [thaw] itself runs on
+    the witness, so a caller that freezes only thawable boards never
+    needs {!restore} to resume them. *)

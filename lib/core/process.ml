@@ -83,8 +83,8 @@ let upcall_queue_capacity = 16
    *data* state beside the continuation (bump-allocator cursor, upcall
    function-id counter, named scratch buffers). The emulator installs a
    [bridge] of closures over that state when it attaches an execution,
-   so the kernel's freeze/thaw machinery can capture and re-establish
-   it without [Tock] depending on the userland layer. *)
+   so [image] and [restore_image] below can capture and re-establish it
+   without [Tock] depending on the userland layer. *)
 
 type emu_residue = {
   er_alloc_next : int;
@@ -122,7 +122,7 @@ type t = {
   pending : pending_upcall Ring_buffer.t;
   allows_rw : (int * int, allow_entry) Hashtbl.t;
   allows_ro : (int * int, allow_entry) Hashtbl.t;
-  grants : (int, Univ.t) Hashtbl.t;
+  grants : (string, Univ.t) Hashtbl.t;
   mutable grant_bytes : int;
   mutable exec : execution option;
   mutable p_state : state;
@@ -268,10 +268,13 @@ let allocate_grant_bytes t n =
 let grant_bytes_used t = t.grant_bytes
 
 let mem_view t ~addr ~len =
+  (* [len <= end - addr] rather than [addr + len <= end]: the sum can
+     overflow for an [addr] or [len] no app register could hold, which a
+     thawed witness can still carry. *)
   if len < 0 then None
-  else if addr >= t.p_ram_base && addr + len <= ram_end t then
+  else if addr >= t.p_ram_base && len <= ram_end t - addr then
     Some (`Ram (addr - t.p_ram_base))
-  else if addr >= t.p_flash_base && addr + len <= flash_end t then
+  else if addr >= t.p_flash_base && len <= flash_end t - addr then
     Some (`Flash (addr - t.p_flash_base))
   else None
 
@@ -371,13 +374,6 @@ let has_upcall_for t ~driver ~subscribe_num =
 
 let has_pending_upcalls t = not (Ring_buffer.is_empty t.pending)
 
-let iter_subscriptions t f =
-  Hashtbl.iter
-    (fun (driver, subscribe_num) up -> f ~driver ~subscribe_num up)
-    t.upcall_slots
-
-let iter_pending_upcalls t f = Ring_buffer.iter t.pending f
-
 let upcalls_dropped t = Ring_buffer.drops t.pending
 
 (* ---- allows ---- *)
@@ -420,14 +416,6 @@ let make_allow_entry t ~addr ~len =
           { a_addr = addr; a_len = len;
             a_window = Some (Subslice.of_bytes_window t.flash ~pos:off ~len) }
     | None -> None
-
-let iter_allows t f =
-  Hashtbl.iter
-    (fun (driver, allow_num) e -> f ~kind:`Rw ~driver ~allow_num e)
-    t.allows_rw;
-  Hashtbl.iter
-    (fun (driver, allow_num) e -> f ~kind:`Ro ~driver ~allow_num e)
-    t.allows_ro
 
 (* ---- grants ---- *)
 
@@ -501,19 +489,19 @@ let command_allowed t ~driver ~command_num =
           let bit = if command_num >= 32 then 31 else command_num in
           mask land (1 lsl bit) <> 0)
 
-(* ---- freeze/thaw support ----
+(* ---- freeze/thaw ----
 
-   Direct state materialization: [Kernel.thaw] rebuilds a board from
-   its construction recipe and then patches each process to the frozen
-   image. These helpers exist only for that path (and the restart path
-   for the checkpoint fields); none of them is reachable from the
-   syscall ABI. *)
+   A process freezes and thaws itself. [Kernel.freeze] records each
+   process as an [image]; [Kernel.thaw] rebuilds the board from its
+   construction recipe, calls [prepare_thaw] before the app factories'
+   resume prologues run and [restore_image] after, and owns only what
+   the kernel keeps beside the process (name, pending resume, grant
+   layout). None of this is reachable from the syscall ABI; the
+   checkpoint fields are also reset by the restart path. *)
 
 let checkpoint t = t.p_ckpt
 
 let set_checkpoint t i = t.p_ckpt <- i
-
-let resume_alarm t = t.p_resume_alarm
 
 let set_resume_alarm t v = t.p_resume_alarm <- v
 
@@ -522,85 +510,221 @@ let take_resume_alarm t =
   t.p_resume_alarm <- None;
   v
 
-let at_sleep t = t.p_at_sleep
-
 let set_at_sleep t v = t.p_at_sleep <- v
 
 let set_bridge t b = t.p_bridge <- Some b
 
-let bridge t = t.p_bridge
+(* Sparse RAM image: (offset, bytes) runs of non-zero data; everything
+   not covered by a run is zero. Zero gaps shorter than the run-header
+   overhead are folded into the surrounding run. Most of an app's RAM
+   block never leaves zero (bump allocator, shallow stacks), so this
+   keeps the witness O(touched state). *)
+type ram = { ram_len : int; ram_runs : (int * string) list }
 
-let iter_syscall_classes t f =
-  Hashtbl.iter (fun class_num count -> f ~class_num ~count) t.syscalls_by_class
+let zero_fold = 16
 
-let restore_syscall_class t ~class_num ~count =
-  Hashtbl.replace t.syscalls_by_class class_num count
+let ram_of_bytes b =
+  let len = Bytes.length b in
+  let runs = ref [] in
+  let i = ref 0 in
+  while !i < len do
+    if Bytes.get b !i = '\x00' then incr i
+    else begin
+      let start = !i and stop = ref (!i + 1) and j = ref (!i + 1) and gap = ref 0 in
+      while !gap <= zero_fold && !j < len do
+        if Bytes.get b !j = '\x00' then incr gap
+        else begin
+          gap := 0;
+          stop := !j + 1
+        end;
+        incr j
+      done;
+      runs := (start, Bytes.sub_string b start (!stop - start)) :: !runs;
+      i := !j
+    end
+  done;
+  { ram_len = len; ram_runs = List.rev !runs }
 
-let restore_counters t ~restarts ~syscalls ~grant_enters =
-  t.restarts <- restarts;
-  t.syscalls <- syscalls;
-  t.grant_enters <- grant_enters
+type image = {
+  im_state : state;
+  im_restarts : int;
+  im_syscalls : int;
+  im_grant_enters : int;
+  im_grant_bytes : int;
+  im_app_break : int;
+  im_kernel_break : int;
+  im_upcall_drops : int;
+  im_mpu_scans : int;
+  im_ckpt : int;
+  im_at_sleep : bool;
+  im_mpu_gen : int;
+  im_mpu_caches : (int * int * int) list;
+  im_residue : emu_residue option;
+  im_classes : (int * int) list;
+  im_subs : (int * int * upcall) list;
+  im_allows : (([ `Rw | `Ro ] * int * int) * (int * int)) list;
+  im_pending : pending_upcall list;
+  im_ram : ram;
+}
 
-let restore_mpu_scans t n = Tock_hw.Mpu.restore_scan_count t.mpu_config n
+let sorted_bindings tbl f acc =
+  List.sort compare (Hashtbl.fold (fun k v acc -> f k v :: acc) tbl acc)
 
 (* The access caches and the generation they were stamped at are real
    behavioral state: a warm cache skips the next region-table scan, and
-   scan counts are observable through metrics. Freeze captures them and
-   thaw puts them back (the thaw rebuild's own churn both bumps the
-   generation and re-primes caches differently than the original
-   history did). *)
-let mpu_cache_state t =
-  ( Tock_hw.Mpu.generation t.mpu_config,
-    List.map
-      (fun c -> (c.c_gen, c.c_lo, c.c_hi))
-      [ t.cache_read; t.cache_write; t.cache_exec ] )
+   scan counts are observable through metrics. So are the drop counter
+   and the FIFO position of every queued upcall. *)
+let image t =
+  let allows kind tbl acc =
+    Hashtbl.fold
+      (fun (driver, allow_num) e acc -> ((kind, driver, allow_num), (e.a_addr, e.a_len)) :: acc)
+      tbl acc
+  in
+  let pending = ref [] in
+  Ring_buffer.iter t.pending (fun pu -> pending := pu :: !pending);
+  {
+    im_state = t.p_state;
+    im_restarts = t.restarts;
+    im_syscalls = t.syscalls;
+    im_grant_enters = t.grant_enters;
+    im_grant_bytes = t.grant_bytes;
+    im_app_break = t.app_break;
+    im_kernel_break = t.kernel_break;
+    im_upcall_drops = Ring_buffer.drops t.pending;
+    im_mpu_scans = Tock_hw.Mpu.scan_count t.mpu_config;
+    im_ckpt = t.p_ckpt;
+    im_at_sleep = t.p_at_sleep;
+    im_mpu_gen = Tock_hw.Mpu.generation t.mpu_config;
+    im_mpu_caches =
+      List.map (fun c -> (c.c_gen, c.c_lo, c.c_hi)) [ t.cache_read; t.cache_write; t.cache_exec ];
+    im_residue = Option.map (fun br -> br.br_residue ()) t.p_bridge;
+    im_classes = sorted_bindings t.syscalls_by_class (fun c n -> (c, n)) [];
+    im_subs = sorted_bindings t.upcall_slots (fun (d, sn) up -> (d, sn, up)) [];
+    im_allows = List.sort compare (allows `Rw t.allows_rw (allows `Ro t.allows_ro []));
+    im_pending = List.rev !pending;
+    im_ram = ram_of_bytes t.ram;
+  }
 
-let restore_mpu_cache t ~generation ~caches =
-  match caches with
-  | [ r; w; x ] ->
-      Tock_hw.Mpu.restore_generation t.mpu_config generation;
-      List.iter2
-        (fun c (g, lo, hi) ->
-          c.c_gen <- g;
-          c.c_lo <- lo;
-          c.c_hi <- hi)
-        [ t.cache_read; t.cache_write; t.cache_exec ]
-        [ r; w; x ]
-  | _ -> invalid_arg "Process.restore_mpu_cache: want exactly 3 entries"
+let is_live = function
+  | Runnable | Yielded | Yielded_for _ | Blocked_command _ -> true
+  | Unstarted | Faulted _ | Terminated _ | Stopped _ -> false
 
-let set_upcall_drops t n = Ring_buffer.set_drops t.pending n
+(* Why a process in this disposition cannot be thawed ([None] if it
+   can) — the one check behind both [thawable] and [prepare_thaw]. A
+   live process must be resumable: checkpointed, parked at its
+   checkpoint sleep, and plainly [Yielded]. Frozen at any other yield
+   (I/O wait, busy-retry nap), every witnessed byte could still match
+   after a thaw while the rebuilt continuation sits elsewhere. Stopped
+   and unstarted processes need a live execution thaw cannot rebuild.
+   Dead ones are fine: thaw keeps the corpse. *)
+let unthawable state ~checkpoint ~at_sleep =
+  match state with
+  | Stopped _ -> Some "frozen stopped"
+  | Unstarted -> Some "frozen unstarted"
+  | s when not (is_live s) -> None
+  | _ when checkpoint = 0 -> Some "live but never checkpointed"
+  | _ when not at_sleep -> Some "frozen outside its checkpoint sleep"
+  | Yielded -> None
+  | _ -> Some "frozen in unresumable state"
 
-let restore_breaks t ~app_break ~kernel_break =
-  if
-    app_break < t.p_ram_base || kernel_break > ram_end t
-    || app_break > kernel_break
-  then false
-  else
-    match
-      Tock_hw.Mpu.update_app_memory_region t.mpu t.mpu_config ~app_break
-        ~kernel_break
-    with
+let thawable t = unthawable t.p_state ~checkpoint:t.p_ckpt ~at_sleep:t.p_at_sleep = None
+
+let prepare_thaw t img =
+  t.p_ckpt <- img.im_ckpt;
+  match unthawable img.im_state ~checkpoint:img.im_ckpt ~at_sleep:img.im_at_sleep with
+  | Some why -> Error why
+  | None when is_live img.im_state -> Ok `Live
+  | None ->
+      (* Dead: never run the factory, keep the corpse. *)
+      destroy_execution t;
+      t.p_state <- img.im_state;
+      Ok `Dead
+
+exception Misfit of string
+
+let restore_image t img =
+  let fail fmt = Printf.ksprintf (fun m -> raise (Misfit m)) fmt in
+  try
+    if is_live img.im_state then begin
+      if not (has_execution t) then fail "lost its execution in the prologue";
+      (match t.p_state with
+      | Yielded -> ()
+      | _ -> fail "did not settle into Yielded");
+      (* Rebind the prologue's live upcall closures to the frozen
+         function ids before the table refill makes those ids current. *)
+      List.iter
+        (fun (d, sn, up) ->
+          if up.fnptr <> 0 then
+            match Hashtbl.find_opt t.upcall_slots (d, sn) with
+            | Some live when live.fnptr = up.fnptr -> ()
+            | Some live when live.fnptr <> 0 -> (
+                match t.p_bridge with
+                | None -> fail "no emulator bridge"
+                | Some br ->
+                    if not (br.br_remap_upcall ~old_id:live.fnptr ~new_id:up.fnptr) then
+                      fail "upcall remap %d->%d failed" live.fnptr up.fnptr)
+            | _ -> fail "no live closure for driver %d sub %d" d sn)
+        img.im_subs
+    end;
+    Hashtbl.reset t.upcall_slots;
+    Ring_buffer.clear t.pending;
+    Hashtbl.reset t.allows_rw;
+    Hashtbl.reset t.allows_ro;
+    Hashtbl.reset t.syscalls_by_class;
+    List.iter (fun (d, sn, up) -> Hashtbl.replace t.upcall_slots (d, sn) up) img.im_subs;
+    let app_break = img.im_app_break and kernel_break = img.im_kernel_break in
+    if app_break < t.p_ram_base || kernel_break > ram_end t || app_break > kernel_break then
+      fail "breaks %#x/%#x outside the RAM block or crossed" app_break kernel_break;
+    (match Tock_hw.Mpu.update_app_memory_region t.mpu t.mpu_config ~app_break ~kernel_break with
     | Ok () ->
         t.app_break <- app_break;
-        t.kernel_break <- kernel_break;
-        true
-    | Error _ -> false
-
-let clear_syscall_tables t =
-  Hashtbl.reset t.upcall_slots;
-  Ring_buffer.clear t.pending;
-  Hashtbl.reset t.allows_rw;
-  Hashtbl.reset t.allows_ro;
-  Hashtbl.reset t.syscalls_by_class
-
-let restore_subscription t ~driver ~subscribe_num up =
-  Hashtbl.replace t.upcall_slots (driver, subscribe_num) up
-
-let restore_allow t ~kind ~driver ~allow_num ~addr ~len =
-  match make_allow_entry t ~addr ~len with
-  | Some e ->
-      Hashtbl.replace (allow_table t kind) (driver, allow_num) e;
-      true
-  | None -> false
-
-let restore_pending_upcall t pu = Ring_buffer.push t.pending pu
+        t.kernel_break <- kernel_break
+    | Error e -> fail "breaks rejected: %s" e);
+    List.iter
+      (fun ((kind, driver, allow_num), (addr, len)) ->
+        match make_allow_entry t ~addr ~len with
+        | Some e -> Hashtbl.replace (allow_table t kind) (driver, allow_num) e
+        | None -> fail "allow %d/%d does not resolve" driver allow_num)
+      img.im_allows;
+    List.iter
+      (fun pu -> if not (Ring_buffer.push t.pending pu) then fail "pending-upcall overflow")
+      img.im_pending;
+    let { ram_len; ram_runs } = img.im_ram in
+    if ram_len <> Bytes.length t.ram then
+      fail "RAM size %d <> witness %d" (Bytes.length t.ram) ram_len;
+    Bytes.fill t.ram 0 ram_len '\x00';
+    List.iter
+      (fun (off, data) ->
+        let n = String.length data in
+        if off < 0 || off > ram_len - n then fail "RAM run %d+%d out of range" off n;
+        Bytes.blit_string data 0 t.ram off n)
+      ram_runs;
+    t.restarts <- img.im_restarts;
+    t.syscalls <- img.im_syscalls;
+    t.grant_enters <- img.im_grant_enters;
+    (* After the break and allow replumbing above, which scans and bumps
+       the generation in ways the original history did not. *)
+    Tock_hw.Mpu.restore_scan_count t.mpu_config img.im_mpu_scans;
+    (match img.im_mpu_caches with
+    | [ _; _; _ ] as l ->
+        Tock_hw.Mpu.restore_generation t.mpu_config img.im_mpu_gen;
+        List.iter2
+          (fun c (g, lo, hi) ->
+            c.c_gen <- g;
+            c.c_lo <- lo;
+            c.c_hi <- hi)
+          [ t.cache_read; t.cache_write; t.cache_exec ]
+          l
+    | l -> fail "%d MPU cache entries, want 3" (List.length l));
+    t.p_at_sleep <- img.im_at_sleep;
+    List.iter (fun (c, n) -> Hashtbl.replace t.syscalls_by_class c n) img.im_classes;
+    Ring_buffer.set_drops t.pending img.im_upcall_drops;
+    (match (t.p_bridge, img.im_residue) with
+    | Some br, Some res -> br.br_set_residue res
+    | _, None -> ()
+    | None, Some _ -> fail "no emulator bridge");
+    t.p_state <- img.im_state;
+    if t.grant_bytes <> img.im_grant_bytes then
+      fail "grant bytes %d <> witness %d" t.grant_bytes img.im_grant_bytes;
+    Ok ()
+  with Misfit m -> Error m

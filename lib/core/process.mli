@@ -182,13 +182,6 @@ val has_upcall_for : t -> driver:int -> subscribe_num:int -> bool
 
 val has_pending_upcalls : t -> bool
 
-val iter_subscriptions :
-  t -> (driver:int -> subscribe_num:int -> upcall -> unit) -> unit
-(** Iterate installed upcall subscriptions (unspecified order). *)
-
-val iter_pending_upcalls : t -> (pending_upcall -> unit) -> unit
-(** Iterate queued-but-undelivered upcalls in delivery (FIFO) order. *)
-
 val upcalls_dropped : t -> int
 
 (** {2 Syscall state: allows} *)
@@ -217,11 +210,10 @@ val make_allow_entry : t -> addr:int -> len:int -> allow_entry option
     policy validation; it is also the unit the iopath micro-bench
     measures as "allow-window setup". *)
 
-val iter_allows : t -> (kind:[ `Ro | `Rw ] -> driver:int -> allow_num:int -> allow_entry -> unit) -> unit
-
 (** {2 Grant value store} *)
 
-val grant_table : t -> (int, Univ.t) Hashtbl.t
+val grant_table : t -> (string, Univ.t) Hashtbl.t
+(** Grant instances by grant name. *)
 
 (** {2 Execution} *)
 
@@ -270,14 +262,15 @@ val command_allowed : t -> driver:int -> command_num:int -> bool
     allowed; otherwise the driver must be listed and the command bit set
     (command numbers >= 32 share the top bit, a simplification). *)
 
-(** {2 Freeze/thaw support}
+(** {2 Freeze/thaw}
 
     Process executions are effect continuations and cannot be
-    serialized. Direct board freeze/thaw ({!Tock.Kernel.freeze} /
-    {!Tock.Kernel.thaw}) instead re-runs the app factory on a fresh
-    board and patches the process back to the frozen image; everything
-    below exists for that path only — none of it is reachable from the
-    syscall ABI. *)
+    serialized. Board freeze/thaw ({!Tock.Kernel.freeze} /
+    {!Tock.Kernel.thaw}) instead records each process as an {!image},
+    re-runs the app factory on a fresh board, and puts the image back.
+    A process captures and restores its own state; the kernel keeps
+    only what it owns beside it (name, pending resume, grant layout).
+    None of this is reachable from the syscall ABI. *)
 
 type emu_residue = {
   er_alloc_next : int;
@@ -293,10 +286,12 @@ type bridge = {
   br_set_residue : emu_residue -> unit;
   br_remap_upcall : old_id:int -> new_id:int -> bool;
 }
-(** Closures the emulator installs over its private state so the kernel
-    can freeze/thaw it without depending on the userland layer.
+(** Closures the emulator installs over its private state so a process
+    can freeze/thaw it without [Tock] depending on the userland layer.
     [br_remap_upcall] rebinds the closure under a live upcall function
     id to the id recorded in the frozen image. *)
+
+val set_bridge : t -> bridge -> unit
 
 val checkpoint : t -> int
 (** Resumable-app cursor: 0 until the app first checkpoints. Witnessed
@@ -304,67 +299,79 @@ val checkpoint : t -> int
 
 val set_checkpoint : t -> int -> unit
 
-val resume_alarm : t -> (int * int) option
-
 val set_resume_alarm : t -> (int * int) option -> unit
 (** The (reference, dt) the frozen process was sleeping on; installed
     by thaw before the factory re-runs. *)
 
 val take_resume_alarm : t -> (int * int) option
 
-val at_sleep : t -> bool
-(** True only while the app is suspended in its post-checkpoint
-    protocol sleep — the one suspension point a thawed factory's
-    fast-forward re-enters exactly. [Kernel.thaw] refuses a witness
-    whose live processes were frozen anywhere else (mid-I/O wait,
-    busy-retry nap): every witnessed byte can match there while the
-    unserializable continuation differs, which would diverge later. *)
-
 val set_at_sleep : t -> bool -> unit
+(** Set only while the app is suspended in its post-checkpoint protocol
+    sleep — the one suspension point a thawed factory's fast-forward
+    re-enters exactly (see {!thawable}). *)
 
-val set_bridge : t -> bridge -> unit
+type ram = { ram_len : int; ram_runs : (int * string) list }
+(** A sparse RAM image: (offset, bytes) runs of non-zero data, zero
+    everywhere else. *)
 
-val bridge : t -> bridge option
+type image = {
+  im_state : state;
+  im_restarts : int;
+  im_syscalls : int;
+  im_grant_enters : int;
+  im_grant_bytes : int;
+  im_app_break : int;
+  im_kernel_break : int;
+  im_upcall_drops : int;
+  im_mpu_scans : int;  (** region-table scans, see {!mpu_scan_count} *)
+  im_ckpt : int;  (** resumable-app checkpoint; 0 = never checkpointed *)
+  im_at_sleep : bool;
+  im_mpu_gen : int;
+  im_mpu_caches : (int * int * int) list;
+      (** last-hit access caches as [(gen, lo, hi)] for read, write and
+          execute: exactly 3 *)
+  im_residue : emu_residue option;
+  im_classes : (int * int) list;  (** per-class syscall counts, sorted *)
+  im_subs : (int * int * upcall) list;
+      (** (driver, subscribe_num, upcall), sorted *)
+  im_allows : (([ `Rw | `Ro ] * int * int) * (int * int)) list;
+      (** ((kind, driver, allow_num), (addr, len)), sorted *)
+  im_pending : pending_upcall list;  (** delivery (FIFO) order *)
+  im_ram : ram;
+}
+(** Everything observable a process owns. The MPU generation, access
+    caches and scan count are witnessed too: a warm cache skips the
+    next region-table scan, and scan counts show in metrics, so a
+    thawed process must continue with the exact cache validity the
+    frozen one had. *)
 
-val iter_syscall_classes : t -> (class_num:int -> count:int -> unit) -> unit
+val image : t -> image
+(** Capture the process. Pure: it changes nothing it records. *)
 
-val restore_syscall_class : t -> class_num:int -> count:int -> unit
+val thawable : t -> bool
+(** Whether a witness of the process as it stands can be thawed: it is
+    dead (faulted or terminated), or live, checkpointed, [Yielded] and
+    suspended at its checkpoint sleep. Frozen anywhere else (mid-I/O
+    wait, busy-retry nap), every witnessed byte could match after a
+    thaw while the unserializable continuation differs and later
+    diverges. [Stopped] and [Unstarted] processes need an execution
+    thaw cannot rebuild. *)
 
-val restore_counters :
-  t -> restarts:int -> syscalls:int -> grant_enters:int -> unit
+val prepare_thaw : t -> image -> ([ `Live | `Dead ], string) result
+(** First thaw step on a freshly built process, before its factory's
+    resume prologue runs: install the image's checkpoint and check the
+    image against the rule of {!thawable} ([Error] gives the reason).
+    A dead image's process loses its execution and takes the frozen
+    state now, so the prologue never runs it. *)
 
-val restore_mpu_scans : t -> int -> unit
-(** Overwrite the MPU scan diagnostic ({!mpu_scan_count}) with the
-    frozen value — thaw's own allow/break replumbing performs scans the
-    original board never made. *)
-
-val mpu_cache_state : t -> int * (int * int * int) list
-(** (MPU generation, last-hit access caches as [(gen, lo, hi)] for
-    read/write/execute). Warm caches skip region-table scans, and scans
-    are observable through metrics, so this is witnessed state: a
-    thawed board must continue with the exact cache validity the frozen
-    board had. *)
-
-val restore_mpu_cache :
-  t -> generation:int -> caches:(int * int * int) list -> unit
-(** Put back what {!mpu_cache_state} captured (exactly 3 cache
-    entries). *)
-
-val set_upcall_drops : t -> int -> unit
-
-val restore_breaks : t -> app_break:int -> kernel_break:int -> bool
-(** Set both breaks and update the MPU app region; false if the breaks
-    are outside the RAM block, crossed, or rejected by the MPU. *)
-
-val clear_syscall_tables : t -> unit
-(** Drop subscriptions, pending upcalls, allows and per-class syscall
-    counts (not grants, counters, or RAM) before wholesale restore. *)
-
-val restore_subscription : t -> driver:int -> subscribe_num:int -> upcall -> unit
-
-val restore_allow :
-  t -> kind:[ `Ro | `Rw ] -> driver:int -> allow_num:int -> addr:int -> len:int -> bool
-(** Rematerialize an allow window at the frozen coordinates; false if
-    the range no longer resolves (corrupt witness). *)
-
-val restore_pending_upcall : t -> pending_upcall -> bool
+val restore_image : t -> image -> (unit, string) result
+(** Last thaw step, after the prologue settled: rebind the prologue's
+    live upcall closures to the frozen function ids, then overwrite
+    subscriptions, breaks, allows, pending upcalls, RAM, counters, MPU
+    caches, emulator residue and state with the image, and check that
+    grant preallocation reproduced the frozen grant bytes. Any field
+    that does not fit the process — crossed or out-of-block breaks, an
+    allow outside its memory, more pending upcalls than the queue
+    holds, a RAM size or run that does not match, a subscription with
+    no live closure — is [Error]; it never raises. On [Error] the
+    process is left half-restored and must be discarded. *)

@@ -1,67 +1,20 @@
 (* The board witness image (TCKSNP03) and its codec. [Kernel.freeze]
    maps live board state to an [image]; [Kernel.thaw] and
-   [Kernel.restore] map one back. Everything about the byte layout —
-   field order, bounds, the checksummed frame — lives in the codec
-   description below. *)
+   [Kernel.restore] map one back. Each process contributes its own
+   [Process.image]; the kernel adds name, pending resume and grant
+   layout. Everything about the byte layout — field order, bounds, the
+   checksummed frame — lives in the codec description below. *)
 
 module C = Tock_obs.Codec
 
 let magic = "TCKSNP03"
 
-(* Sparse RAM image: (offset, bytes) runs of non-zero data; everything
-   not covered by a run is zero. Zero gaps shorter than the run-header
-   overhead are folded into the surrounding run. Most of an app's RAM
-   block never leaves zero (bump allocator, shallow stacks), so this
-   keeps the witness O(touched state). *)
-type ram = { ram_len : int; ram_runs : (int * string) list }
-
-let zero_fold = 16
-
-let ram_of_bytes b =
-  let len = Bytes.length b in
-  let runs = ref [] in
-  let i = ref 0 in
-  while !i < len do
-    if Bytes.get b !i = '\x00' then incr i
-    else begin
-      let start = !i and stop = ref (!i + 1) and j = ref (!i + 1) and gap = ref 0 in
-      while !gap <= zero_fold && !j < len do
-        if Bytes.get b !j = '\x00' then incr gap
-        else begin
-          gap := 0;
-          stop := !j + 1
-        end;
-        incr j
-      done;
-      runs := (start, Bytes.sub_string b start (!stop - start)) :: !runs;
-      i := !j
-    end
-  done;
-  { ram_len = len; ram_runs = List.rev !runs }
-
+(* What the kernel keeps beside each process image. *)
 type proc = {
   wp_name : string;
-  wp_state : Process.state;
   wp_resume : Process.resume_arg option;
-  wp_restarts : int;
-  wp_syscalls : int;
-  wp_grant_enters : int;
-  wp_grant_bytes : int;
-  wp_app_break : int;
-  wp_kernel_break : int;
-  wp_upcall_drops : int;
-  wp_mpu_scans : int;
-  wp_ckpt : int;
-  wp_at_sleep : bool;
-  wp_mpu_gen : int;
-  wp_mpu_caches : (int * int * int) list;
-  wp_residue : Process.emu_residue option;
-  wp_classes : (int * int) list;
   wp_grants : string list;
-  wp_subs : (int * int * Process.upcall) list;
-  wp_allows : (([ `Rw | `Ro ] * int * int) * (int * int)) list;
-  wp_pending : Process.pending_upcall list;
-  wp_ram : ram;
+  wp_image : Process.image;
 }
 
 type image = {
@@ -153,46 +106,51 @@ let mpu_caches =
        (list ~max:3 (triple int int int)))
 
 let ram =
-  C.(conv (fun r -> (r.ram_len, r.ram_runs))
+  C.(conv (fun r -> (r.Process.ram_len, r.Process.ram_runs))
        (fun (ram_len, ram_runs) ->
          List.iter
            (fun (off, data) ->
              if off < 0 || off > ram_len - String.length data then
                fail "RAM run out of range (off=%d len=%d ram=%d)" off (String.length data) ram_len)
            ram_runs;
-         { ram_len; ram_runs })
+         { Process.ram_len; ram_runs })
        (pair int (list (pair int string))))
 
+(* The kernel's fields and the process image's interleave on the wire
+   in the order the format has always had. *)
 let proc =
+  let img get c = C.field (fun p -> get p.wp_image) c in
   C.(record
        (let+ wp_name = field (fun p -> p.wp_name) string
-        and+ wp_state = field (fun p -> p.wp_state) state
+        and+ im_state = img (fun i -> i.Process.im_state) state
         and+ wp_resume = field (fun p -> p.wp_resume) (option resume)
-        and+ wp_restarts = field (fun p -> p.wp_restarts) int
-        and+ wp_syscalls = field (fun p -> p.wp_syscalls) int
-        and+ wp_grant_enters = field (fun p -> p.wp_grant_enters) int
-        and+ wp_grant_bytes = field (fun p -> p.wp_grant_bytes) int
-        and+ wp_app_break = field (fun p -> p.wp_app_break) int
-        and+ wp_kernel_break = field (fun p -> p.wp_kernel_break) int
-        and+ wp_upcall_drops = field (fun p -> p.wp_upcall_drops) int
-        and+ wp_mpu_scans = field (fun p -> p.wp_mpu_scans) int
-        and+ wp_ckpt = field (fun p -> p.wp_ckpt) int
-        and+ wp_at_sleep = field (fun p -> p.wp_at_sleep) bool
-        and+ wp_mpu_gen = field (fun p -> p.wp_mpu_gen) int
-        and+ wp_mpu_caches = field (fun p -> p.wp_mpu_caches) mpu_caches
-        and+ wp_residue = field (fun p -> p.wp_residue) (option residue)
-        and+ wp_classes = field (fun p -> p.wp_classes) (list (pair int int))
+        and+ im_restarts = img (fun i -> i.Process.im_restarts) int
+        and+ im_syscalls = img (fun i -> i.Process.im_syscalls) int
+        and+ im_grant_enters = img (fun i -> i.Process.im_grant_enters) int
+        and+ im_grant_bytes = img (fun i -> i.Process.im_grant_bytes) int
+        and+ im_app_break = img (fun i -> i.Process.im_app_break) int
+        and+ im_kernel_break = img (fun i -> i.Process.im_kernel_break) int
+        and+ im_upcall_drops = img (fun i -> i.Process.im_upcall_drops) int
+        and+ im_mpu_scans = img (fun i -> i.Process.im_mpu_scans) int
+        and+ im_ckpt = img (fun i -> i.Process.im_ckpt) int
+        and+ im_at_sleep = img (fun i -> i.Process.im_at_sleep) bool
+        and+ im_mpu_gen = img (fun i -> i.Process.im_mpu_gen) int
+        and+ im_mpu_caches = img (fun i -> i.Process.im_mpu_caches) mpu_caches
+        and+ im_residue = img (fun i -> i.Process.im_residue) (option residue)
+        and+ im_classes = img (fun i -> i.Process.im_classes) (list (pair int int))
         and+ wp_grants = field (fun p -> p.wp_grants) (list string)
-        and+ wp_subs = field (fun p -> p.wp_subs) (list (triple int int upcall))
-        and+ wp_allows =
-          field (fun p -> p.wp_allows)
+        and+ im_subs = img (fun i -> i.Process.im_subs) (list (triple int int upcall))
+        and+ im_allows =
+          img (fun i -> i.Process.im_allows)
             (list (pair (triple (variant "allow kind" [ const `Rw; const `Ro ]) int int) (pair int int)))
-        and+ wp_pending = field (fun p -> p.wp_pending) (list pending_upcall)
-        and+ wp_ram = field (fun p -> p.wp_ram) ram in
-        { wp_name; wp_state; wp_resume; wp_restarts; wp_syscalls; wp_grant_enters;
-          wp_grant_bytes; wp_app_break; wp_kernel_break; wp_upcall_drops; wp_mpu_scans;
-          wp_ckpt; wp_at_sleep; wp_mpu_gen; wp_mpu_caches; wp_residue; wp_classes;
-          wp_grants; wp_subs; wp_allows; wp_pending; wp_ram }))
+        and+ im_pending = img (fun i -> i.Process.im_pending) (list pending_upcall)
+        and+ im_ram = img (fun i -> i.Process.im_ram) ram in
+        { wp_name; wp_resume; wp_grants;
+          wp_image =
+            { Process.im_state; im_restarts; im_syscalls; im_grant_enters; im_grant_bytes;
+              im_app_break; im_kernel_break; im_upcall_drops; im_mpu_scans; im_ckpt;
+              im_at_sleep; im_mpu_gen; im_mpu_caches; im_residue; im_classes; im_subs;
+              im_allows; im_pending; im_ram } }))
 
 let codec =
   let registry = C.sized Tock_obs.Metrics.packed_codec in

@@ -9,44 +9,23 @@
 
     Format v3: a {!Tock_obs.Codec.frame} with magic ["TCKSNP03"] (magic,
     payload length, payload, MD5 of the payload) around the fields of
-    {!image} in declaration order. The two registries nest as
-    length-prefixed {!Tock_obs.Metrics.packed_codec} images. *)
+    {!image} in declaration order. Within a {!proc}, the kernel's fields
+    sit among the image's in a fixed order: name, state, resume,
+    counters through per-class syscall counts, grants, then
+    subscriptions, allows, pending upcalls and RAM. The two registries
+    nest as length-prefixed {!Tock_obs.Metrics.packed_codec} images. *)
 
 val magic : string
 (** ["TCKSNP03"]. *)
 
-type ram = { ram_len : int; ram_runs : (int * string) list }
-(** A sparse RAM image: (offset, bytes) runs of non-zero data, zero
-    everywhere else. *)
-
-val ram_of_bytes : bytes -> ram
-
 type proc = {
   wp_name : string;
-  wp_state : Process.state;
   wp_resume : Process.resume_arg option;  (** the kernel's pending resume *)
-  wp_restarts : int;
-  wp_syscalls : int;
-  wp_grant_enters : int;
-  wp_grant_bytes : int;
-  wp_app_break : int;
-  wp_kernel_break : int;
-  wp_upcall_drops : int;
-  wp_mpu_scans : int;
-  wp_ckpt : int;  (** resumable-app checkpoint; 0 = never checkpointed *)
-  wp_at_sleep : bool;
-  wp_mpu_gen : int;
-  wp_mpu_caches : (int * int * int) list;  (** exactly 3 *)
-  wp_residue : Process.emu_residue option;
-  wp_classes : (int * int) list;  (** per-class syscall counts, sorted *)
   wp_grants : string list;  (** allocated grants, in registry order *)
-  wp_subs : (int * int * Process.upcall) list;
-      (** (driver, subscribe_num, upcall), sorted *)
-  wp_allows : (([ `Rw | `Ro ] * int * int) * (int * int)) list;
-      (** ((kind, driver, allow_num), (addr, len)), sorted *)
-  wp_pending : Process.pending_upcall list;  (** delivery order *)
-  wp_ram : ram;
+  wp_image : Process.image;  (** everything the process owns *)
 }
+(** One process-table entry: the process's own {!Process.image} and
+    what the kernel keeps beside it. *)
 
 type image = {
   w_now : int;

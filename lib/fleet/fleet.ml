@@ -729,15 +729,24 @@ let run_domain cfg workloads (deques : Ws_deque.t array) d =
     do_flights = !flights;
   }
 
-let validate cfg =
-  if cfg.boards <= 0 then invalid_arg "Fleet.run_fleet: boards <= 0";
-  if cfg.group_size <= 0 then invalid_arg "Fleet.run_fleet: group_size <= 0";
-  if cfg.domains <= 0 then invalid_arg "Fleet.run_fleet: domains <= 0";
-  if cfg.cycles <= 0 then invalid_arg "Fleet.run_fleet: cycles <= 0";
-  if cfg.batch <= 0 then invalid_arg "Fleet.run_fleet: batch <= 0";
-  if cfg.park_min_quanta <= 0 then invalid_arg "Fleet.run_fleet: park_min_quanta <= 0";
-  if cfg.trace_capacity < 0 then invalid_arg "Fleet.run_fleet: trace_capacity < 0";
-  if cfg.trace_boards < 0 then invalid_arg "Fleet.run_fleet: trace_boards < 0"
+let check_config cfg =
+  let bad =
+    [ (cfg.boards <= 0, "boards <= 0");
+      (cfg.group_size <= 0, "group_size <= 0");
+      (cfg.domains <= 0, "domains <= 0");
+      (cfg.cycles <= 0, "cycles <= 0");
+      (cfg.batch <= 0, "batch <= 0");
+      (cfg.park_min_quanta <= 0, "park_min_quanta <= 0");
+      (cfg.trace_capacity < 0, "trace_capacity < 0");
+      (cfg.trace_boards < 0, "trace_boards < 0");
+      ( (match cfg.fault_board with Some b -> b < 0 || b >= cfg.boards | None -> false),
+        Printf.sprintf "fault board outside [0, %d)" cfg.boards );
+      ( (match cfg.flight_dir with
+        | Some d -> not (Sys.file_exists d && Sys.is_directory d)
+        | None -> false),
+        "flight directory does not exist" ) ]
+  in
+  match List.find_opt fst bad with Some (_, why) -> Error why | None -> Ok ()
 
 (* The stock per-cohort health gates: any fault degrades a cohort, two
    or more on one board (or exhausted restarts) fail it; a p99 syscall
@@ -762,7 +771,9 @@ type fleet_result = {
 }
 
 let run_fleet cfg =
-  validate cfg;
+  (match check_config cfg with
+  | Ok () -> ()
+  | Error why -> invalid_arg ("Fleet.run_fleet: " ^ why));
   let ngroups = group_count cfg in
   let domains = min cfg.domains ngroups in
   let workloads = build_workloads () in

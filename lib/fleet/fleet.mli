@@ -147,10 +147,15 @@ type fleet_result = {
           (fleet-level SLO-breach artifact last). *)
 }
 
+val check_config : config -> (unit, string) result
+(** [Error] names the first config field {!run_fleet} would refuse: a
+    non-positive count, a [fault_board] outside [\[0, boards)], or a
+    [flight_dir] that is not an existing directory. *)
+
 val run_fleet : config -> fleet_result
-(** Run the whole fleet; [Invalid_argument] on non-positive config
-    fields. [fr_stats] and [fr_metrics] are deterministic given [config]
-    minus [domains], [batch], and [park]. *)
+(** Run the whole fleet; [Invalid_argument] before any board runs if
+    {!check_config} refuses [config]. [fr_stats] and [fr_metrics] are
+    deterministic given [config] minus [domains], [batch], and [park]. *)
 
 val thaw_artifact :
   Flight.artifact -> (Tock_boards.Board.t, string) result

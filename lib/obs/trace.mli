@@ -13,7 +13,8 @@ type kind =
   | Syscall  (** span around one syscall dispatch; arg = class number *)
   | Irq_raise  (** instant: line asserted; arg = line, text = name *)
   | Irq_dispatch  (** instant: handler ran; arg = line, text = name *)
-  | Grant_enter  (** instant; arg = grant id, text = grant name *)
+  | Grant_enter
+      (** instant; arg = grant id (a hash of its name), text = grant name *)
   | Alarm_fire  (** instant; arg = virtual alarms fired / compare value *)
   | Mpu_check  (** instant, slow path only; text = access kind *)
   | Schedule  (** span around one process timeslice; text = name *)

@@ -297,6 +297,72 @@ let test_thaw_rejects_kind_clash () =
   | Error e -> check_contains ~msg:"kernel registry diagnostic" e "kernel registry"
   | exception e -> Alcotest.failf "thaw raised %s" (Printexc.to_string e)
 
+(* A process image that decodes but does not fit its process must end
+   in [Error] from [Process.restore_image], never in an exception: each
+   case perturbs one field of the live process's image in a real
+   witness and re-encodes it with a valid frame. *)
+let test_thaw_rejects_misfit_images () =
+  let original = build_sleepy () in
+  finish_to original 700_000 10_000;
+  let w = Tock.Kernel.freeze original.Tock_boards.Board.kernel in
+  let wt =
+    match Tock_obs.Codec.decode Tock.Witness.codec w with
+    | Ok wt -> wt
+    | Error e -> Alcotest.failf "witness decode: %s" e
+  in
+  let wp, img =
+    match wt.Tock.Witness.w_procs with
+    | [ wp ] -> (wp, wp.Tock.Witness.wp_image)
+    | _ -> Alcotest.fail "want the one sleepy process"
+  in
+  (match img.Tock.Process.im_state with
+  | Tock.Process.Yielded -> ()
+  | _ -> Alcotest.fail "sleepy process not live at the park point");
+  let ram_len = img.Tock.Process.im_ram.Tock.Process.ram_len in
+  let allow addr len = ((`Rw, 1, 0), (addr, len)) in
+  let pu =
+    { Tock.Process.pu_driver = 0; pu_subscribe = 0;
+      pu_upcall = Tock.Process.null_upcall; pu_args = (0, 0, 0) }
+  in
+  let cases =
+    [ ( "pending upcall past the queue capacity",
+        { img with Tock.Process.im_pending = List.init 64 (fun _ -> pu) },
+        "pending-upcall overflow" );
+      ( "allow past the RAM block",
+        { img with im_allows = allow (img.im_kernel_break + ram_len) 16 :: img.im_allows },
+        "does not resolve" );
+      ( "allow whose end overflows",
+        { img with im_allows = allow (max_int - 8) 16 :: img.im_allows },
+        "does not resolve" );
+      ( "crossed breaks",
+        { img with im_app_break = img.im_kernel_break + 4 },
+        "breaks" );
+      ( "break below the RAM block", { img with im_app_break = 0 }, "breaks" );
+      ( "break above the RAM block",
+        { img with im_kernel_break = img.im_kernel_break + ram_len },
+        "breaks" );
+      ( "RAM length mismatch",
+        { img with im_ram = { img.im_ram with Tock.Process.ram_len = ram_len + 1 } },
+        "RAM size" );
+      ( "subscription with no live closure",
+        { img with im_subs = (0x7777, 0, { Tock.Process.fnptr = 4242; appdata = 0 }) :: img.im_subs },
+        "no live closure" ) ]
+  in
+  List.iter
+    (fun (what, img, diag) ->
+      let bad =
+        Tock_obs.Codec.encode Tock.Witness.codec
+          { wt with Tock.Witness.w_procs = [ { wp with Tock.Witness.wp_image = img } ] }
+      in
+      let b = build_sleepy () in
+      match
+        Tock.Kernel.thaw b.Tock_boards.Board.kernel ~cap:b.Tock_boards.Board.main_cap bad
+      with
+      | Ok () -> Alcotest.failf "%s: thaw accepted it" what
+      | Error e -> check_contains ~msg:(what ^ " diagnostic") e diag
+      | exception e -> Alcotest.failf "%s: thaw raised %s" what (Printexc.to_string e))
+    cases
+
 (* The freeze/thaw subjects: three app mixes, by shape. *)
 let build_case (shape, period, _park_at, seed) =
   let sim =
@@ -583,7 +649,7 @@ let read_file path =
    process. With health on, the Degraded verdict adds one fleet-level
    SLO-breach artifact that (carrying no witness) must refuse to
    thaw. *)
-let test_flight_recorder_artifact () =
+let with_flight_dir f =
   let dir = Filename.temp_file "tock-flight" ".d" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
@@ -592,7 +658,10 @@ let test_flight_recorder_artifact () =
         (fun f -> Sys.remove (Filename.concat dir f))
         (Sys.readdir dir);
       Sys.rmdir dir)
-  @@ fun () ->
+  @@ fun () -> f dir
+
+let test_flight_recorder_artifact () =
+  with_flight_dir @@ fun dir ->
   (* the injector's delayed wild read lands around 227k cycles — give
      the budget comfortable headroom past it *)
   let cfg =
@@ -675,6 +744,30 @@ let test_flight_recorder_artifact () =
           true (bs.Fleet.bs_syscalls > 0))
     r.Fleet.fr_stats
 
+(* A fault artifact is a function of its board alone: the same bytes on
+   a second run in the same host process and at 1 or 2 domains. State
+   shared by every board in the process, such as a counter behind the
+   traced grant ids, must never reach an artifact. *)
+let test_flight_artifact_deterministic () =
+  let artifact domains =
+    with_flight_dir @@ fun dir ->
+    let cfg =
+      { Fleet.default with
+        boards = 6; domains; group_size = 1; cycles = 400_000;
+        batch = 50_000; fault_board = Some 3; flight_dir = Some dir }
+    in
+    match (Fleet.run_fleet cfg).Fleet.fr_flights with
+    | [ (path, _) ] -> read_file path
+    | l -> Alcotest.failf "want one artifact, got %d" (List.length l)
+  in
+  let first = artifact 2 in
+  Alcotest.(check bool) "artifact traces grant entries" true
+    (match Flight.decode first with
+    | Ok a -> List.exists (fun e -> e.Flight.fe_kind = "grant-enter") a.Flight.fa_events
+    | Error e -> Alcotest.failf "decode: %s" e);
+  Alcotest.(check string) "second run, same process" first (artifact 2);
+  Alcotest.(check string) "1 domain" first (artifact 1)
+
 let test_seed_independent_of_grouping () =
   (* group_seed depends only on the fleet seed and first board index. *)
   let s = Fleet.group_seed 42L 0 in
@@ -699,6 +792,10 @@ let test_bad_config_rejected () =
       { Fleet.default with cycles = 0 };
       { Fleet.default with batch = 0 };
       { Fleet.default with park_min_quanta = 0 };
+      { Fleet.default with fault_board = Some Fleet.default.Fleet.boards };
+      { Fleet.default with fault_board = Some (-1) };
+      { Fleet.default with
+        flight_dir = Some (Filename.concat (Filename.get_temp_dir_name ()) "otock-no-such-dir") };
     ]
 
 let suite =
@@ -719,6 +816,8 @@ let suite =
       test_witness_rejects_corruption;
     Alcotest.test_case "thaw rejects a retyped registry series" `Quick
       test_thaw_rejects_kind_clash;
+    Alcotest.test_case "thaw rejects misfit process images" `Quick
+      test_thaw_rejects_misfit_images;
     prop_freeze_thaw_contract;
     Alcotest.test_case "thaw just before a timer event" `Quick
       test_thaw_just_before_timer_event;
@@ -734,6 +833,8 @@ let suite =
       test_health_identical_across_domains;
     Alcotest.test_case "flight recorder: fault artifact decodes and thaws"
       `Quick test_flight_recorder_artifact;
+    Alcotest.test_case "flight artifacts byte-identical across runs and domains"
+      `Quick test_flight_artifact_deterministic;
     Alcotest.test_case "group seeds are pure" `Quick
       test_seed_independent_of_grouping;
     Alcotest.test_case "bad configs rejected" `Quick test_bad_config_rejected;
